@@ -3,24 +3,24 @@
 //! 128x{8,16,32}-bit single-partition SRAMs built from {16,32,64}xN-bit
 //! bricks (stacked 8x/4x/2x). The paper compiles all nine bricks and
 //! estimates performance, energy and area "within 2 seconds of wall clock
-//! time" — the binary times itself against the same budget using the
-//! per-point timings the DSE engine records on the shared span clock.
+//! time" — the binary times itself against the same budget with one
+//! wall-clock stopwatch around the whole sweep.
 //!
 //! Run with `cargo run --release -p lim-bench --bin fig4c`.
 //! Pass `--json` for machine-readable table output.
 
 use lim::dse::{explore, normalized, pareto_front};
 use lim_bench::{finish, say, Table};
-use lim_obs::Span;
+use lim_obs::{Span, Stopwatch};
 use lim_tech::Technology;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = Span::enter("fig4c");
     let tech = Technology::cmos65();
 
+    let sw = Stopwatch::start();
     let points = explore(&tech, &[(128, 8), (128, 16), (128, 32)], &[16, 32, 64])?;
-    let elapsed: Duration = points.iter().map(|p| p.elapsed).sum();
+    let elapsed = sw.elapsed();
 
     say("Fig. 4c — design-space exploration: 9 bricks for 128xN SRAMs");
     say(&format!(

@@ -18,14 +18,14 @@
 use crate::error::BrickError;
 use crate::geometry::BrickLayout;
 use crate::BrickSpec;
-use lim_tech::logical_effort::{buffer_chain, Path};
+use lim_tech::logical_effort::buffer_chain;
 use lim_tech::params::BitcellElectrical;
 use lim_tech::units::{Femtofarads, KiloOhms, Microns};
 use lim_tech::wire::RcLadder;
 use lim_tech::Technology;
 
 /// Junction + via load each brick adds to the shared array read bitline.
-pub(crate) const ARBL_TAP_CAP: Femtofarads = Femtofarads::new(8.0);
+const ARBL_TAP_CAP: Femtofarads = Femtofarads::new(8.0);
 /// Load each brick's write-bitline segment adds per cell (write access
 /// transistor drain).
 pub(crate) const WBL_TAP_FACTOR: f64 = 0.8;
@@ -197,11 +197,6 @@ impl CompiledBrick {
         let taps = self.spec.words() * stack;
         let c_tap = self.cell.bl_cap_per_cell * WBL_TAP_FACTOR;
         RcLadder::from_wire(&self.tech, length, taps, c_tap)
-    }
-
-    /// The wordline driver chain as a logical-effort path.
-    pub fn wl_driver_path(&self) -> Path {
-        Path::inverter_chain(self.wl_chain_stages.max(1))
     }
 
     /// Output resistance of the final wordline driver stage.

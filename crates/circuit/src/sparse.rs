@@ -164,14 +164,6 @@ impl Banded {
         &self.inv_diag
     }
 
-    /// Raw banded storage, row-major with `2k+1` slots per row. Two
-    /// matrices with equal dimensions and bit-identical storage factor
-    /// to bit-identical LU data — the test the batched transient solver
-    /// uses to share one factorization across panel columns.
-    pub fn raw_data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// True when `other` has the same dimensions and bit-identical
     /// storage (comparing bit patterns, so `-0.0 != 0.0` and matrices
     /// containing NaN never compare equal to anything, including
@@ -385,13 +377,6 @@ impl Panel {
     #[inline]
     pub fn row(&self, row: usize) -> &[f64] {
         &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Mutable view of one row.
-    #[inline]
-    pub fn row_mut(&mut self, row: usize) -> &mut [f64] {
-        let w = self.cols;
-        &mut self.data[row * w..(row + 1) * w]
     }
 
     /// Appends a column, returning its index.

@@ -11,7 +11,6 @@ use lim_brick::{BitcellKind, BrickCompiler, BrickSpec};
 use lim_tech::units::{Femtojoules, Picoseconds, SquareMicrons};
 use lim_tech::Technology;
 use std::fmt;
-use std::time::Duration;
 
 /// One evaluated design point.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,10 +31,6 @@ pub struct DsePoint {
     pub energy: Femtojoules,
     /// Estimated bank area.
     pub area: SquareMicrons,
-    /// Wall-clock time spent evaluating this point, from the shared
-    /// span clock ([`lim_obs::timed`]); valid whether or not obs
-    /// collection is enabled.
-    pub elapsed: Duration,
 }
 
 impl fmt::Display for DsePoint {
@@ -89,11 +84,10 @@ pub fn explore(
     lim_par::par_map(combos, |(words, bits, bw)| -> Result<DsePoint, LimError> {
         let stack = words / bw;
         let spec = BrickSpec::new(BitcellKind::Sram8T, bw, bits)?;
-        let (est, elapsed) = lim_obs::timed("dse_point", || {
-            let brick = compiler.compile(&spec)?;
-            brick.estimate_bank(stack)
-        });
-        let est = est?;
+        let est = {
+            let _span = lim_obs::Span::enter("dse_point");
+            compiler.compile(&spec)?.estimate_bank(stack)?
+        };
         Ok(DsePoint {
             label: format!("{words}x{bits} @ {bw}x{bits} x{stack}"),
             words,
@@ -103,7 +97,6 @@ pub fn explore(
             delay: est.read_delay,
             energy: est.read_energy,
             area: est.area,
-            elapsed,
         })
     })
     .into_iter()
@@ -149,11 +142,10 @@ pub fn explore_partitioned(
     let compiler = BrickCompiler::new(tech);
     lim_par::par_map(combos, |(p, bw, stack)| -> Result<DsePoint, LimError> {
         let spec = BrickSpec::new(BitcellKind::Sram8T, bw, bits)?;
-        let (est, elapsed) = lim_obs::timed("dse_point", || {
-            let brick = compiler.compile(&spec)?;
-            brick.estimate_bank(stack)
-        });
-        let est = est?;
+        let est = {
+            let _span = lim_obs::Span::enter("dse_point");
+            compiler.compile(&spec)?.estimate_bank(stack)?
+        };
         // Output mux: one 2:1 level per bank-select bit, ~3τ each.
         let mux_levels = p.trailing_zeros() as f64;
         let delay = est.read_delay + tech.tau * (3.0 * mux_levels);
@@ -176,7 +168,6 @@ pub fn explore_partitioned(
             delay,
             energy,
             area,
-            elapsed,
         })
     })
     .into_iter()
@@ -430,7 +421,6 @@ mod tests {
                     delay: Picoseconds::new(rng.gen_range(1u64..6) as f64),
                     energy: Femtojoules::new(rng.gen_range(1u64..6) as f64),
                     area: SquareMicrons::new(rng.gen_range(1u64..6) as f64),
-                    elapsed: Duration::ZERO,
                 })
                 .collect();
             assert_eq!(pareto_front(&pts), naive_pareto_front(&pts));
@@ -519,10 +509,12 @@ mod tests {
         // magnitude of headroom, so gate at an eighth of the paper's
         // budget — tight enough that an accidental O(n³) regression in
         // the estimator or a serialization bug in the pool trips it.
-        // Per-point timings come from the shared span clock, so the same
-        // numbers surface in obs reports and figure binaries.
+        // The gate is the sweep's wall clock, which is what such a bug
+        // inflates; a sum of per-point times would not see it.
+        let sw = lim_obs::Stopwatch::start();
         let points = fig4c_points();
-        let total: Duration = points.iter().map(|p| p.elapsed).sum();
-        assert!(total.as_secs_f64() < 0.25, "sweep took {total:?}");
+        let elapsed = sw.elapsed();
+        assert_eq!(points.len(), 9);
+        assert!(elapsed.as_secs_f64() < 0.25, "sweep took {elapsed:?}");
     }
 }

@@ -17,12 +17,11 @@ use crate::error::LimError;
 use crate::flow::{LimBlock, LimFlow};
 use lim_brick::{BitcellKind, BrickSpec};
 use lim_physical::power::MacroActivity;
-use lim_rtl::infer::{infer, Inference};
+use lim_rtl::infer::infer;
 use lim_rtl::smartmem::{lower, MemLowering};
 use lim_rtl::{parse, verilog};
 use lim_tech::units::{Femtojoules, Picoseconds, SquareMicrons};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// Default brick-depth candidates when the caller passes none.
 pub const DEFAULT_BRICK_WORDS: &[usize] = &[8, 16, 32, 64];
@@ -59,18 +58,6 @@ pub struct MemoryPlan {
     pub candidates: usize,
 }
 
-/// Wall-clock spent in each frontend stage (from the shared span
-/// clock, valid whether or not obs collection is enabled).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RtlStageTimings {
-    /// Source → behavioral IR.
-    pub parse: Duration,
-    /// IR → inference result.
-    pub infer: Duration,
-    /// Inference → structural netlist.
-    pub lower: Duration,
-}
-
 /// Everything `rtl.infer` hands back for one source module.
 #[derive(Debug, Clone)]
 pub struct RtlInferReport {
@@ -84,8 +71,6 @@ pub struct RtlInferReport {
     pub block: LimBlock,
     /// Structural Verilog of the lowered (pre-optimization) netlist.
     pub verilog: String,
-    /// Frontend stage timings.
-    pub timings: RtlStageTimings,
 }
 
 fn bad(reason: impl Into<String>) -> LimError {
@@ -221,15 +206,20 @@ pub fn infer_and_synthesize(
         brick_options
     };
 
-    let (parsed, parse_elapsed) = lim_obs::timed("rtl_parse", || parse::parse(source));
+    let parsed = {
+        let _span = lim_obs::Span::enter("rtl_parse");
+        parse::parse(source)
+    };
     let module = match parsed {
         Ok(m) => m,
         Err(e) => return Err(bad(format!("parse error at {e}"))),
     };
     lim_obs::counter_add("rtl.parse_lines", module.source_lines as u64);
 
-    let (inference, infer_elapsed): (Inference, Duration) =
-        lim_obs::timed("rtl_infer_pass", || infer(&module));
+    let inference = {
+        let _span = lim_obs::Span::enter("rtl_infer_pass");
+        infer(&module)
+    };
     lim_obs::counter_add("rtl.infer.memories", inference.memories.len() as u64);
     lim_obs::counter_add("rtl.infer.rejected", inference.rejected.len() as u64);
     if !inference.rejected.is_empty() {
@@ -276,10 +266,14 @@ pub fn infer_and_synthesize(
         plans.push(plan);
     }
 
-    let (lowered, lower_elapsed) =
-        lim_obs::timed("rtl_lower", || lower(&module, &inference, &plans_by_mem));
-    let netlist = lowered?;
-    let structural = verilog::emit(&netlist);
+    let netlist = {
+        let _span = lim_obs::Span::enter("rtl_lower");
+        lower(&module, &inference, &plans_by_mem)?
+    };
+    let structural = {
+        let _span = lim_obs::Span::enter("rtl_emit");
+        verilog::emit(&netlist)
+    };
 
     // Every lane macro is active each cycle: reads launch every edge,
     // writes land only when the enable fires — model the common
@@ -300,11 +294,6 @@ pub fn infer_and_synthesize(
         memories: plans,
         block,
         verilog: structural,
-        timings: RtlStageTimings {
-            parse: parse_elapsed,
-            infer: infer_elapsed,
-            lower: lower_elapsed,
-        },
     })
 }
 

@@ -102,8 +102,9 @@ pub fn set_enabled(on: bool) {
 }
 
 /// A monotonic wall-clock stopwatch — the same clock the span tree is
-/// built from, exposed for callers that need a raw elapsed duration
-/// (e.g. per-point DSE timing) alongside the span aggregation.
+/// built from, for callers that need one raw elapsed duration outside
+/// the span aggregation (e.g. a request's end-to-end latency or a whole
+/// DSE sweep's wall clock).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
@@ -126,31 +127,9 @@ impl Default for Stopwatch {
     }
 }
 
-/// Runs `f` under a span named `name` and returns its result together
-/// with the measured duration.
-///
-/// The duration is always measured (one `Instant` pair), so callers can
-/// surface stage timings in their own reports even when obs collection
-/// is disabled; the span itself is only recorded when [`enabled`].
-pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> (R, Duration) {
-    let sw = Stopwatch::start();
-    let span = Span::enter(name);
-    let result = f();
-    drop(span);
-    (result, sw.elapsed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timed_measures_and_returns() {
-        let (v, d) = timed("tests.timed", || 41 + 1);
-        assert_eq!(v, 42);
-        // Duration is valid (possibly zero on a coarse clock).
-        assert!(d <= Duration::from_secs(60));
-    }
 
     #[test]
     fn stopwatch_monotonic() {

@@ -7,15 +7,14 @@
 use crate::clock::{self, ClockTreeReport};
 use crate::error::PhysicalError;
 use crate::floorplan::{Floorplan, FloorplanOptions};
-use crate::place::{place, PlaceEffort, Placement};
+use crate::place::{place, PlaceEffort};
 use crate::power::{self, MacroActivity, PowerReport};
-use crate::route::{self, NetRoute};
+use crate::route;
 use crate::sta::{self, TimingReport};
 use lim_brick::BrickLibrary;
 use lim_rtl::{Netlist, SwitchingActivity};
 use lim_tech::units::{Femtojoules, Megahertz, Microns, Picoseconds, SquareMicrons};
 use lim_tech::Technology;
-use std::time::Duration;
 
 /// Options controlling one flow run.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,26 +49,11 @@ impl Default for FlowOptions {
     }
 }
 
-/// Per-stage wall-clock timings and effort counters for one flow run.
-///
-/// Durations are always measured (one `Instant` pair per stage), so
-/// they are valid whether or not `lim-obs` collection is enabled; when
-/// it is, the same stages also appear as spans named `floorplan`,
+/// Effort counters for one flow run. Stage wall time is not kept here:
+/// it lives in the `lim-obs` span tree, as spans named `floorplan`,
 /// `place`, `route`, `sta`, `clock_tree` and `power` under `physical`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowStats {
-    /// Time in [`Floorplan::build`].
-    pub floorplan: Duration,
-    /// Time in placement annealing.
-    pub place: Duration,
-    /// Time in route estimation.
-    pub route: Duration,
-    /// Time in static timing analysis.
-    pub sta: Duration,
-    /// Time in clock-tree synthesis.
-    pub clock_tree: Duration,
-    /// Time in power analysis.
-    pub power: Duration,
     /// Annealing moves the placer actually evaluated (zero when the
     /// design had nothing to anneal).
     pub place_moves: usize,
@@ -81,7 +65,7 @@ pub struct FlowStats {
     /// under `SeedMode::Cold` or for degenerate designs).
     pub place_seeded: bool,
     /// Conjugate-gradient iterations the analytic seed spent (both
-    /// axes, all reweight rounds; zero when unseeded).
+    /// axes; zero when unseeded).
     pub place_analytic_iters: usize,
     /// Legalization displacement of the analytic seed, rounded to whole
     /// µm (integer so `FlowStats` stays `Eq`; zero when unseeded).
@@ -90,13 +74,6 @@ pub struct FlowStats {
     pub nets_routed: usize,
     /// Timing endpoints STA evaluated.
     pub sta_endpoints: usize,
-}
-
-impl FlowStats {
-    /// Sum of all stage durations.
-    pub fn total(&self) -> Duration {
-        self.floorplan + self.place + self.route + self.sta + self.clock_tree + self.power
-    }
 }
 
 /// Complete result of physically synthesizing one block.
@@ -126,7 +103,7 @@ pub struct BlockReport {
     pub timing: TimingReport,
     /// Clock-tree estimate (`None` for purely combinational designs).
     pub clock_tree: Option<ClockTreeReport>,
-    /// Per-stage timings and effort counters.
+    /// Per-stage effort counters.
     pub stats: FlowStats,
 }
 
@@ -152,16 +129,29 @@ impl<'a> PhysicalSynthesis<'a> {
     pub fn run(&self, netlist: &Netlist, options: &FlowOptions) -> Result<BlockReport, PhysicalError> {
         let _span = lim_obs::Span::enter("physical");
         lim_obs::counter_add("flow.blocks", 1);
-        let mut stats = FlowStats::default();
-        let (fp, placement, routes, timing) = self.stages(netlist, options, &mut stats)?;
+        let fp = {
+            let _span = lim_obs::Span::enter("floorplan");
+            Floorplan::build(self.tech, netlist, self.library, &options.floorplan)?
+        };
+        let placement = {
+            let _span = lim_obs::Span::enter("place");
+            place(self.tech, netlist, &fp, options.seed, options.effort)?
+        };
+        let routes = {
+            let _span = lim_obs::Span::enter("route");
+            route::estimate(self.tech, netlist, &placement, &fp, self.library)?
+        };
+        let timing = {
+            let _span = lim_obs::Span::enter("sta");
+            sta::analyze(self.tech, netlist, &routes, self.library, options.input_slew)?
+        };
 
         // Clock-tree synthesis: refine the clock load for power and fold
         // insertion skew into the reported period margin.
-        let (clock_tree, elapsed) = lim_obs::timed("clock_tree", || {
-            clock::build(self.tech, netlist, &placement, &fp, self.library)
-        });
-        stats.clock_tree = elapsed;
-        let clock_tree = clock_tree?;
+        let clock_tree = {
+            let _span = lim_obs::Span::enter("clock_tree");
+            clock::build(self.tech, netlist, &placement, &fp, self.library)?
+        };
         let clock_cap = clock_tree.as_ref().map(|ct| {
             let fallback = netlist
                 .clock()
@@ -173,7 +163,8 @@ impl<'a> PhysicalSynthesis<'a> {
         let activity = options.activity.clone().unwrap_or_else(|| {
             SwitchingActivity::uniform(netlist.net_count(), options.default_toggle_rate, 100)
         });
-        let (power, elapsed) = lim_obs::timed("power", || {
+        let power = {
+            let _span = lim_obs::Span::enter("power");
             power::analyze(
                 self.tech,
                 netlist,
@@ -183,11 +174,19 @@ impl<'a> PhysicalSynthesis<'a> {
                 timing.fmax,
                 &options.macro_activity,
                 clock_cap,
-            )
-        });
-        stats.power = elapsed;
-        let power = power?;
+            )?
+        };
 
+        let stats = FlowStats {
+            place_moves: placement.moves,
+            place_accepted: placement.accepted,
+            place_starts: placement.starts,
+            place_seeded: placement.seeded,
+            place_analytic_iters: placement.analytic_iters,
+            place_legalize_displacement_um: placement.legalize_displacement.round() as u64,
+            nets_routed: routes.len(),
+            sta_endpoints: timing.endpoints,
+        };
         Ok(BlockReport {
             name: netlist.name().to_owned(),
             fmax: timing.fmax,
@@ -203,62 +202,6 @@ impl<'a> PhysicalSynthesis<'a> {
             clock_tree,
             stats,
         })
-    }
-
-    /// Runs floorplan → place → route → STA, exposing the intermediates
-    /// (C-INTERMEDIATE: callers like the DSE engine reuse them).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any stage failure.
-    pub fn run_to_timing(
-        &self,
-        netlist: &Netlist,
-        options: &FlowOptions,
-    ) -> Result<(Floorplan, Placement, Vec<NetRoute>, TimingReport), PhysicalError> {
-        self.stages(netlist, options, &mut FlowStats::default())
-    }
-
-    /// Floorplan → place → route → STA, timing each stage into `stats`.
-    fn stages(
-        &self,
-        netlist: &Netlist,
-        options: &FlowOptions,
-        stats: &mut FlowStats,
-    ) -> Result<(Floorplan, Placement, Vec<NetRoute>, TimingReport), PhysicalError> {
-        let (fp, elapsed) = lim_obs::timed("floorplan", || {
-            Floorplan::build(self.tech, netlist, self.library, &options.floorplan)
-        });
-        stats.floorplan = elapsed;
-        let fp = fp?;
-
-        let (placement, elapsed) = lim_obs::timed("place", || {
-            place(self.tech, netlist, &fp, options.seed, options.effort)
-        });
-        stats.place = elapsed;
-        let placement = placement?;
-        stats.place_moves = placement.moves;
-        stats.place_accepted = placement.accepted;
-        stats.place_starts = placement.starts;
-        stats.place_seeded = placement.seeded;
-        stats.place_analytic_iters = placement.analytic_iters;
-        stats.place_legalize_displacement_um = placement.legalize_displacement.round() as u64;
-
-        let (routes, elapsed) = lim_obs::timed("route", || {
-            route::estimate(self.tech, netlist, &placement, &fp, self.library)
-        });
-        stats.route = elapsed;
-        let routes = routes?;
-        stats.nets_routed = routes.len();
-
-        let (timing, elapsed) = lim_obs::timed("sta", || {
-            sta::analyze(self.tech, netlist, &routes, self.library, options.input_slew)
-        });
-        stats.sta = elapsed;
-        let timing = timing?;
-        stats.sta_endpoints = timing.endpoints;
-
-        Ok((fp, placement, routes, timing))
     }
 }
 
@@ -281,7 +224,7 @@ mod tests {
         assert!(rep.power.total().value() > 0.0);
         assert!(rep.wirelength.value() > 0.0);
         assert_eq!(rep.guard_area.value(), 0.0);
-        // Stage stats are populated regardless of the obs enable flag.
+        // Effort counters are populated regardless of the obs enable flag.
         assert!(rep.stats.place_moves > 0);
         assert!(rep.stats.place_accepted <= rep.stats.place_moves);
         assert_eq!(rep.stats.place_starts, 1);
@@ -290,7 +233,6 @@ mod tests {
         assert!(rep.stats.nets_routed > 0);
         assert!(rep.stats.sta_endpoints > 0);
         assert_eq!(rep.stats.sta_endpoints, rep.timing.endpoints);
-        assert!(rep.stats.total() > Duration::ZERO);
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub struct Placement {
     /// Annealing starts actually run (0 when annealing was skipped).
     pub starts: usize,
     /// Conjugate-gradient iterations the analytic seed solve spent
-    /// (both axes, all reweight rounds); 0 when no analytic solve ran.
+    /// (both axes); 0 when no analytic solve ran.
     pub analytic_iters: usize,
     /// Total µm of displacement the Tetris legalizer applied to the
     /// analytic solution; 0.0 when no analytic solve ran.
@@ -97,28 +97,6 @@ pub struct Placement {
     /// Whether the annealing starts refined an analytic seed (`false`
     /// for cold anneals and designs with nothing to place).
     pub seeded: bool,
-}
-
-impl Placement {
-    /// Position of the pin that `net` presents at cell `cell_idx`; the
-    /// cell center for std cells, the macro center for macros.
-    pub fn position_of_cell(&self, cell_idx: usize, floorplan: &Floorplan) -> (f64, f64) {
-        if let Some(p) = self.cell_pos[cell_idx] {
-            p
-        } else {
-            // Macro: find by order.
-            let m = &floorplan.macros;
-            let idx = self
-                .macro_centers
-                .iter()
-                .position(|(name, _)| m.iter().any(|pm| &pm.instance == name))
-                .unwrap_or(0);
-            self.macro_centers
-                .get(idx)
-                .map(|(_, p)| *p)
-                .unwrap_or((0.0, 0.0))
-        }
-    }
 }
 
 /// How each annealing start gets its initial assignment.

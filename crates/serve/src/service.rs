@@ -16,7 +16,9 @@ use lim_brick::library::LibraryEntry;
 use lim_brick::{golden, BankEstimate, BitcellKind, BrickSpec, SharedBrickLibrary};
 use lim_obs::json::{self, Value};
 use lim_obs::trace::{trace_json_line, Trace, TraceBuffer, TraceId, TraceScope};
-use lim_obs::{hist_json_line, window_json_line, Report, RollingWindow, SharedHistogram};
+use lim_obs::{
+    hist_json_line, window_json_line, Histogram, Report, RollingWindow, SharedHistogram, SpanRow,
+};
 use lim_tech::Technology;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -26,6 +28,35 @@ use std::time::Duration;
 
 /// Traces retained per set (N most recent + N slowest).
 const TRACE_RETAIN: usize = 16;
+
+/// Every method [`Service`] dispatches. Telemetry — endpoint
+/// histograms, the `dispatch` span and therefore the stage keys — is
+/// keyed by these names only; any other method string is recorded as
+/// [`UNKNOWN_METHOD`], so client input cannot grow those registries.
+const METHODS: [&str; 10] = [
+    "server.ping",
+    "brick.estimate",
+    "golden.compare",
+    "flow.run",
+    "dse.explore",
+    "rtl.infer",
+    "batch",
+    "server.trace",
+    "server.telemetry",
+    "debug.sleep",
+];
+
+/// The telemetry name every method outside [`METHODS`] shares.
+const UNKNOWN_METHOD: &str = "unknown";
+
+/// The telemetry name of `method`: itself when dispatchable, else
+/// [`UNKNOWN_METHOD`].
+fn method_key(method: &str) -> &'static str {
+    METHODS
+        .into_iter()
+        .find(|&m| m == method)
+        .unwrap_or(UNKNOWN_METHOD)
+}
 
 /// Tuning knobs shared by the service and the server front end.
 #[derive(Debug, Clone)]
@@ -56,8 +87,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Latency telemetry for one endpoint (or flow stage): the lifetime
-/// histogram, the rolling 1 m / 5 m windows, and an error counter. The
+/// Latency telemetry for one endpoint: the lifetime histogram, the
+/// rolling 1 m / 5 m windows, and an error counter. The
 /// registry hands out `Arc`s so recording happens outside the map lock
 /// — the lifetime record path is the lock-free sharded histogram.
 #[derive(Debug, Default)]
@@ -74,6 +105,32 @@ impl EndpointTelemetry {
         if error {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// The `server.stats` rendering: lifetime count/errors/mean/max plus
+    /// p50/p90/p99, then a `last1m`/`last5m` window pair so "slow now"
+    /// and "slow ever" are separately visible.
+    fn value(&self) -> Value {
+        let mut members = latency_members(&self.lifetime.merged());
+        // Errors sit right after the count.
+        members.insert(
+            1,
+            ("errors", num(self.errors.load(Ordering::Relaxed) as f64)),
+        );
+        for (secs, w) in self.window.summaries() {
+            let label = if secs == 60 { "last1m" } else { "last5m" };
+            members.push((
+                label,
+                obj(vec![
+                    ("count", num(w.count as f64)),
+                    ("p50_us", num(us(w.p50_ns))),
+                    ("p90_us", num(us(w.p90_ns))),
+                    ("p99_us", num(us(w.p99_ns))),
+                    ("max_us", num(us(w.max_ns))),
+                ]),
+            ));
+        }
+        obj(members)
     }
 }
 
@@ -98,9 +155,10 @@ pub struct Service {
     /// Persistent tier under the memo; `None` when no cache dir is set.
     disk: Option<Arc<DiskCache>>,
     endpoints: Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>,
-    /// Per-flow-stage latency (`flow.floorplan`, `flow.place`, ...),
-    /// fed from each `flow.run`'s per-stage `FlowStats` timings.
-    stages: Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>,
+    /// Per-stage latency, keyed by span path below `serve.request`
+    /// (e.g. `rtl.infer/rtl_infer/lim_flow/physical/place`): one sample
+    /// per span row of every request traced while obs is enabled.
+    stages: Mutex<BTreeMap<String, Histogram>>,
     traces: TraceBuffer,
     obs: Mutex<Report>,
     requests: AtomicU64,
@@ -165,8 +223,9 @@ impl Service {
     /// Executes one request: memo lookup, handler dispatch, per-endpoint
     /// latency accounting, and — when obs collection is enabled — folds
     /// the calling thread's span/counter state into the service-wide
-    /// report, retains the request's span tree as a trace, and clears
-    /// the thread's collector.
+    /// report, feeds its span rows into the stage histograms, retains
+    /// the request's span tree as a trace, and clears the thread's
+    /// collector.
     ///
     /// The trace id (client-provided via `trace`, or minted here) is the
     /// thread's active id for the whole request, so `lim-par` workers
@@ -189,11 +248,16 @@ impl Service {
         let elapsed = sw.elapsed();
         if lim_obs::enabled() {
             let thread_report = Report::capture();
+            self.record_spans(&thread_report.spans);
             // Introspection endpoints are not retained: a monitoring
             // poller must not evict the traces it came to read.
             if !matches!(method, "server.trace" | "server.telemetry") {
-                self.traces
-                    .push(Trace::from_report(id, method, elapsed, &thread_report));
+                self.traces.push(Trace::from_report(
+                    id,
+                    method_key(method),
+                    elapsed,
+                    &thread_report,
+                ));
             }
             self.obs
                 .lock()
@@ -242,6 +306,7 @@ impl Service {
         lim_obs::counter_add("serve.cache_misses", 1);
         let result = self.dispatch(method, params);
         if let Ok(rendered) = &result {
+            let _span = lim_obs::Span::enter("memo_insert");
             self.cache
                 .lock()
                 .expect("response cache lock poisoned")
@@ -284,7 +349,7 @@ impl Service {
     }
 
     fn dispatch(&self, method: &str, params: &Value) -> Result<String, ServeError> {
-        let _span = lim_obs::Span::enter(method);
+        let _span = lim_obs::Span::enter(method_key(method));
         match method {
             "server.ping" => Ok(format!(
                 "{{\"pong\":true,\"protocol\":{}}}",
@@ -303,16 +368,15 @@ impl Service {
         }
     }
 
-    /// Records one sample into a telemetry registry: a short map lock to
-    /// fetch (or create) the endpoint's `Arc`, then lock-free recording.
-    fn record_into(
-        registry: &Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>,
-        name: &str,
-        d: Duration,
-        error: bool,
-    ) {
+    /// Records one endpoint sample: a short map lock to fetch (or
+    /// create) the endpoint's `Arc`, then lock-free recording.
+    fn record_endpoint(&self, method: &str, d: Duration, error: bool) {
+        let name = method_key(method);
         let stat = {
-            let mut map = registry.lock().expect("telemetry registry lock poisoned");
+            let mut map = self
+                .endpoints
+                .lock()
+                .expect("telemetry registry lock poisoned");
             match map.get(name) {
                 Some(stat) => Arc::clone(stat),
                 None => {
@@ -325,12 +389,27 @@ impl Service {
         stat.record(d, error);
     }
 
-    fn record_endpoint(&self, method: &str, d: Duration, error: bool) {
-        Self::record_into(&self.endpoints, method, d, error);
+    /// A copy of the endpoint registry, so rendering happens outside the
+    /// map lock.
+    fn endpoint_snapshot(&self) -> Vec<(String, Arc<EndpointTelemetry>)> {
+        let map = self
+            .endpoints
+            .lock()
+            .expect("telemetry registry lock poisoned");
+        map.iter()
+            .map(|(name, t)| (name.clone(), Arc::clone(t)))
+            .collect()
     }
 
-    fn record_stage(&self, stage: &str, d: Duration) {
-        Self::record_into(&self.stages, stage, d, false);
+    /// Feeds one request's span rows into the stage histograms, one
+    /// sample of the row's total per row, keyed by its path with the
+    /// leading `serve.request/` removed.
+    fn record_spans(&self, spans: &[SpanRow]) {
+        let mut stages = self.stages.lock().expect("stage registry lock poisoned");
+        for row in spans {
+            let key = row.path.strip_prefix("serve.request/").unwrap_or(&row.path);
+            stages.entry(key.to_owned()).or_default().record(row.total);
+        }
     }
 
     fn spec_of(&self, params: &Value) -> Result<(BrickSpec, usize), ServeError> {
@@ -456,25 +535,8 @@ impl Service {
             .map_err(ServeError::internal)?;
         self.library.absorb(flow.into_library());
         self.persist_library();
-        self.record_flow_stages(&block);
+        let _span = lim_obs::Span::enter("render");
         Ok(json::render(&block_value(&block)))
-    }
-
-    /// Per-stage latency: a synthesized block's own stage timings feed
-    /// the `flow.<stage>` histograms, so `server.stats` can localize a
-    /// slow run to the stage that caused it.
-    fn record_flow_stages(&self, block: &LimBlock) {
-        let s = &block.report.stats;
-        for (stage, d) in [
-            ("flow.floorplan", s.floorplan),
-            ("flow.place", s.place),
-            ("flow.route", s.route),
-            ("flow.sta", s.sta),
-            ("flow.clock_tree", s.clock_tree),
-            ("flow.power", s.power),
-        ] {
-            self.record_stage(stage, d);
-        }
     }
 
     /// Behavioral-RTL entry point: parses `params["source"]`, infers
@@ -520,14 +582,7 @@ impl Service {
             })?;
         self.library.absorb(flow.into_library());
         self.persist_library();
-        for (stage, d) in [
-            ("rtl.parse", report.timings.parse),
-            ("rtl.infer", report.timings.infer),
-            ("rtl.lower", report.timings.lower),
-        ] {
-            self.record_stage(stage, d);
-        }
-        self.record_flow_stages(&report.block);
+        let _span = lim_obs::Span::enter("render");
         Ok(json::render(&obj(vec![
             ("module", Value::String(report.module.clone())),
             ("parse_lines", num(report.parse_lines as f64)),
@@ -774,21 +829,14 @@ impl Service {
     }
 
     /// Renders the full telemetry report as `lim-obs-v1` JSON lines —
-    /// per-endpoint `hist` + `window` lines, per-flow-stage `hist`
-    /// lines, and the retained `trace` lines — packed into one response
-    /// member so clients can write it straight to a file for
-    /// `obs_check`.
+    /// per-endpoint `hist` + `window` lines, per-stage `hist` lines,
+    /// and the retained `trace` lines — packed into one response member
+    /// so clients can write it straight to a file for `obs_check`.
     fn telemetry_report(&self) -> String {
         let mut lines = String::from(
             "{\"type\":\"meta\",\"schema\":\"lim-obs-v1\",\"source\":\"lim-serve\"}\n",
         );
-        let snapshot = |registry: &Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>| {
-            let map = registry.lock().expect("telemetry registry lock poisoned");
-            map.iter()
-                .map(|(name, t)| (name.clone(), Arc::clone(t)))
-                .collect::<Vec<_>>()
-        };
-        for (name, t) in snapshot(&self.endpoints) {
+        for (name, t) in self.endpoint_snapshot() {
             lines.push_str(&hist_json_line(&name, &t.lifetime.merged().summary()));
             lines.push('\n');
             for (secs, summary) in t.window.summaries() {
@@ -796,8 +844,13 @@ impl Service {
                 lines.push('\n');
             }
         }
-        for (name, t) in snapshot(&self.stages) {
-            lines.push_str(&hist_json_line(&name, &t.lifetime.merged().summary()));
+        for (name, h) in self
+            .stages
+            .lock()
+            .expect("stage registry lock poisoned")
+            .iter()
+        {
+            lines.push_str(&hist_json_line(name, &h.summary()));
             lines.push('\n');
         }
         let mut seen = Vec::new();
@@ -872,8 +925,20 @@ impl Service {
                 }),
             ),
         ]);
-        let endpoints_v = telemetry_value(&self.endpoints, true);
-        let stages_v = telemetry_value(&self.stages, false);
+        let endpoints_v = Value::Object(
+            self.endpoint_snapshot()
+                .into_iter()
+                .map(|(name, t)| (name, t.value()))
+                .collect(),
+        );
+        let stages_v = Value::Object(
+            self.stages
+                .lock()
+                .expect("stage registry lock poisoned")
+                .iter()
+                .map(|(name, h)| (name.clone(), obj(latency_members(h))))
+                .collect(),
+        );
         let report = self.obs.lock().expect("obs report lock poisoned");
         let obs_v = obj(vec![
             (
@@ -980,54 +1045,18 @@ fn us(ns: u64) -> f64 {
     ns as f64 / 1_000.0
 }
 
-/// Renders one telemetry registry for `server.stats`: per entry the
-/// lifetime count/errors/mean/max plus p50/p90/p99, and (for endpoints)
-/// a `last1m`/`last5m` window pair so "slow now" and "slow ever" are
-/// separately visible.
-fn telemetry_value(
-    registry: &Mutex<BTreeMap<String, Arc<EndpointTelemetry>>>,
-    windows: bool,
-) -> Value {
-    let map = registry.lock().expect("telemetry registry lock poisoned");
-    let entries: Vec<(String, Arc<EndpointTelemetry>)> = map
-        .iter()
-        .map(|(name, t)| (name.clone(), Arc::clone(t)))
-        .collect();
-    drop(map);
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(name, t)| {
-                let lifetime = t.lifetime.merged();
-                let s = lifetime.summary();
-                let mut members = vec![
-                    ("count", num(s.count as f64)),
-                    ("errors", num(t.errors.load(Ordering::Relaxed) as f64)),
-                    ("mean_us", num(lifetime.mean_ns() / 1_000.0)),
-                    ("max_us", num(us(s.max_ns))),
-                    ("p50_us", num(us(s.p50_ns))),
-                    ("p90_us", num(us(s.p90_ns))),
-                    ("p99_us", num(us(s.p99_ns))),
-                ];
-                if windows {
-                    for (secs, w) in t.window.summaries() {
-                        let label = if secs == 60 { "last1m" } else { "last5m" };
-                        members.push((
-                            label,
-                            obj(vec![
-                                ("count", num(w.count as f64)),
-                                ("p50_us", num(us(w.p50_ns))),
-                                ("p90_us", num(us(w.p90_ns))),
-                                ("p99_us", num(us(w.p99_ns))),
-                                ("max_us", num(us(w.max_ns))),
-                            ]),
-                        ));
-                    }
-                }
-                (name, obj(members))
-            })
-            .collect(),
-    )
+/// The lifetime latency members `server.stats` reports per endpoint
+/// and per stage: count, mean, max and p50/p90/p99.
+fn latency_members(h: &Histogram) -> Vec<(&'static str, Value)> {
+    let s = h.summary();
+    vec![
+        ("count", num(s.count as f64)),
+        ("mean_us", num(h.mean_ns() / 1_000.0)),
+        ("max_us", num(us(s.max_ns))),
+        ("p50_us", num(us(s.p50_ns))),
+        ("p90_us", num(us(s.p90_ns))),
+        ("p99_us", num(us(s.p99_ns))),
+    ]
 }
 
 /// Wraps a rendered handler reply as one batch-entry object.
@@ -1630,11 +1659,129 @@ endmodule
         assert!(!svc.memo_probe("brick.estimate", &nocache));
     }
 
-    #[test]
-    fn obs_adoption_folds_request_spans_into_service_report() {
-        let svc = Service::new(&ServeConfig::default());
+    /// Serializes the tests that toggle the process-global obs flag.
+    static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Takes [`OBS_LOCK`], then turns collection on over a clean
+    /// thread collector. The caller turns it off again before asserting.
+    fn obs_on() -> std::sync::MutexGuard<'static, ()> {
+        let guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         lim_obs::set_enabled(true);
         lim_obs::reset();
+        guard
+    }
+
+    fn stage_keys(svc: &Service) -> Vec<String> {
+        match svc.stats_value().get("flow_stages") {
+            Some(Value::Object(members)) => members.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("flow_stages is not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rtl_infer_spans_cover_the_request_and_key_the_stage_histograms() {
+        let _obs = obs_on();
+        let svc = Service::new(&ServeConfig::default());
+        let p = Value::Object(vec![
+            (
+                "source".to_owned(),
+                Value::String(include_str!("../../../examples/smart_mem.v").to_owned()),
+            ),
+            (
+                "brick_words".to_owned(),
+                Value::Array(vec![num(16.0), num(32.0), num(64.0)]),
+            ),
+        ]);
+        let out = svc.call("rtl.infer", &p);
+        lim_obs::set_enabled(false);
+        assert!(out.result.is_ok(), "{:?}", out.result);
+        let trace = svc.traces.find(out.trace).expect("request trace retained");
+
+        // Down the request's spine, each span's direct children account
+        // for at least 90% of its time: no stage runs unspanned.
+        for path in [
+            "serve.request",
+            "serve.request/rtl.infer",
+            "serve.request/rtl.infer/rtl_infer",
+        ] {
+            let parent = trace
+                .spans
+                .iter()
+                .find(|row| row.path == path)
+                .unwrap_or_else(|| panic!("no span {path}"));
+            let children: Duration = trace
+                .spans
+                .iter()
+                .filter(|row| {
+                    row.depth == parent.depth + 1
+                        && row
+                            .path
+                            .strip_prefix(path)
+                            .is_some_and(|r| r.starts_with('/'))
+                })
+                .map(|row| row.total)
+                .sum();
+            assert!(
+                children.as_secs_f64() >= 0.9 * parent.total.as_secs_f64(),
+                "{path}: children cover {children:?} of {:?}",
+                parent.total
+            );
+        }
+
+        // Every span path of the request keys a stage histogram.
+        let keys = stage_keys(&svc);
+        for row in &trace.spans {
+            let key = row.path.strip_prefix("serve.request/").unwrap_or(&row.path);
+            assert!(keys.iter().any(|k| k == key), "no stage key {key}");
+        }
+        for suffix in ["/rtl_emit", "/map", "/physical/place", "/render"] {
+            assert!(
+                keys.iter().any(|k| k.ends_with(suffix)),
+                "no stage key ending in {suffix}: {keys:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_methods_share_one_telemetry_key() {
+        let _obs = obs_on();
+        let svc = Service::new(&ServeConfig::default());
+        let call_unknown = |i: usize| {
+            let method = format!("no.such.{i}");
+            let err = svc.call(&method, &params("{}")).result.unwrap_err();
+            assert_eq!(err.code, ERR_UNKNOWN_METHOD);
+            assert!(err.message.contains(&method), "{}", err.message);
+            let batch = Value::Object(vec![(
+                "requests".to_owned(),
+                Value::Array(vec![Value::Object(vec![(
+                    "method".to_owned(),
+                    Value::String(format!("batch.no.such.{i}")),
+                )])]),
+            )]);
+            let out = svc.call("batch", &batch).result.unwrap();
+            assert!(out.contains(&format!("batch.no.such.{i}")), "{out}");
+        };
+        let sizes = |svc: &Service| {
+            (
+                svc.endpoints.lock().unwrap().len(),
+                svc.stages.lock().unwrap().len(),
+                svc.obs_report().spans.len(),
+            )
+        };
+        call_unknown(0);
+        let first = sizes(&svc);
+        for i in 1..5_000 {
+            call_unknown(i);
+        }
+        lim_obs::set_enabled(false);
+        assert_eq!(sizes(&svc), first);
+        assert!(svc.endpoints.lock().unwrap().contains_key(UNKNOWN_METHOD));
+    }
+
+    #[test]
+    fn obs_adoption_folds_request_spans_into_service_report() {
+        let _obs = obs_on();
+        let svc = Service::new(&ServeConfig::default());
         svc.call("server.ping", &params("{}"));
         svc.call("brick.estimate", &params("{\"words\":16,\"bits\":10}"));
         lim_obs::set_enabled(false);

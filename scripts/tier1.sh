@@ -106,6 +106,13 @@ rtl_warm=$(client --method rtl.infer --source-file examples/smart_mem.v \
 # The rtl.* obs counters must surface in server.stats.
 client --method server.stats | grep -q '"rtl.infer.memories"' \
     || { echo "server.stats missing rtl.infer counters" >&2; exit 1; }
+# Stage histograms are keyed by span path: the cold rtl.infer run must
+# have fed its emit and placement spans into server.stats.
+rtl_stats=$(client --method server.stats)
+for stage in '/rtl_emit"' '/physical/place"'; do
+    echo "$rtl_stats" | grep -q "$stage" \
+        || { echo "server.stats missing a stage key ending in ${stage%\"}" >&2; exit 1; }
+done
 # The repeated estimate must be served from the response memo.
 client --method brick.estimate --params '{"words":16,"bits":10,"stack":4}' \
     | grep -q '"cached":true'
