@@ -37,8 +37,7 @@ use crate::BrickSpec;
 use lim_circuit::extract::recharge_energy;
 use lim_circuit::waveform::Edge;
 use lim_circuit::{
-    run_probed_batch, BatchRun, Circuit, CircuitError, NodeId, SolverKind, SourceId,
-    TransientResult,
+    run_probed_batch, BatchRun, Circuit, CircuitError, NodeId, SourceId, TransientResult,
 };
 use lim_tech::logical_effort::{GateKind, Path, Stage};
 use lim_tech::units::{Femtofarads, Femtojoules, Picoseconds, Volts};
@@ -387,7 +386,7 @@ fn finish(
 pub fn measure_bank(brick: &CompiledBrick, stack: usize) -> Result<GoldenMeasurement, BrickError> {
     let sims = build_sims(brick, stack)?;
     let runs = [sims.read_run(), sims.write_run()];
-    let mut out = run_probed_batch(&runs, SolverKind::Auto).map_err(BrickError::Golden)?;
+    let mut out = run_probed_batch(&runs).map_err(BrickError::Golden)?;
     let wres = out.pop().expect("two runs yield two results");
     let res = out.pop().expect("two runs yield two results");
     finish(brick, &sims, &res, &wres)
@@ -525,12 +524,12 @@ pub fn compare_batch_results(
         lim_par::par_map(groups, |(_, jobs)| {
             let runs: Vec<BatchRun<'_>> = jobs.iter().map(|j| j.run).collect();
             let outs: Vec<Result<TransientResult, CircuitError>> =
-                match run_probed_batch(&runs, SolverKind::Auto) {
+                match run_probed_batch(&runs) {
                     Ok(rs) => rs.into_iter().map(Ok).collect(),
                     Err(_) => runs
                         .iter()
                         .map(|r| {
-                            run_probed_batch(std::slice::from_ref(r), SolverKind::Auto)
+                            run_probed_batch(std::slice::from_ref(r))
                                 .map(|mut v| v.pop().expect("one run yields one result"))
                         })
                         .collect(),

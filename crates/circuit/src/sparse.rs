@@ -18,7 +18,7 @@
 //!   so a substitution sweep touches each row's columns contiguously.
 //!
 //! Factoring a half-bandwidth-`k` system costs `O(n·k²)` and each solve
-//! `O(n·k)`, versus `O(n³)` / `O(n²)` for the dense path — a ~100×
+//! `O(n·k)`, versus `O(n³)` / `O(n²)` for dense LU — a ~100×
 //! reduction for the tridiagonal-ish ladders the golden flow simulates.
 //! The factorization keeps the reciprocal of each pivot so the
 //! per-step back-substitution multiplies instead of divides; at `k = 1`

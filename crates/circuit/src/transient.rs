@@ -7,25 +7,26 @@
 //! refreshed only when a switch changes state (conductance topology
 //! change), which makes long RC-ladder simulations cheap.
 //!
-//! Two factorization backends exist. Extracted memory arrays are chains of
-//! RC segments, so after a reverse Cuthill–McKee reordering of the
-//! connectivity graph ([`crate::sparse`]) the system matrix is banded with
-//! a small half-bandwidth; the banded backend then factors in `O(n·k²)`
-//! and solves each step in `O(n·k)` instead of the dense `O(n³)`/`O(n²)`.
-//! [`SolverKind::Auto`] (the default) picks the banded path whenever the
-//! reordered bandwidth is small enough to win and falls back to dense LU
-//! with partial pivoting otherwise; both paths agree to solver tolerance
-//! and are cross-checked by a property test.
+//! There is one factorization backend: banded LU without pivoting.
+//! Extracted memory arrays are chains of RC segments, so after a reverse
+//! Cuthill–McKee reordering of the connectivity graph ([`crate::sparse`])
+//! the system matrix is banded with a small half-bandwidth; it then
+//! factors in `O(n·k²)` and solves each step in `O(n·k)`. Every element a
+//! [`Circuit`] can hold has a positive value, so `G + C/Δt` is a
+//! symmetric, diagonally dominant M-matrix, for which elimination without
+//! pivoting is stable at any bandwidth. A node with neither capacitance
+//! nor a DC path fails the relative pivot check as
+//! [`CircuitError::SingularSystem`].
 //!
-//! The banded backend is a *multi-RHS panel engine*: any number of runs
-//! that share connectivity structure and stepping advance in lockstep,
-//! one panel column each ([`run_probed_batch`]). Columns whose stamped
-//! `G + C/Δt` matrices are bit-identical share a single factorization
-//! (a *factorization class*); when a column's switch state diverges it
+//! The engine is a *multi-RHS panel*: any number of runs that share
+//! connectivity structure and stepping advance in lockstep, one panel
+//! column each ([`run_probed_batch`]). Columns whose stamped `G + C/Δt`
+//! matrices are bit-identical share a single factorization (a
+//! *factorization class*); when a column's switch state diverges it
 //! migrates to the class matching its new matrix, factoring afresh only
-//! if no class has seen that matrix. A single [`TransientSim::run`] is
-//! the same engine with a one-column panel, so batched and sequential
-//! results are bit-identical by construction.
+//! if no class has seen that matrix. A single [`TransientSim::run`] is a
+//! one-entry batch, so batched and sequential results are bit-identical
+//! by construction.
 //!
 //! Supply energy is integrated alongside: every driver's delivered energy
 //! is `∫ v_target · i dt`, which for a full charge of capacitance C to Vdd
@@ -37,24 +38,10 @@ use crate::sparse::{adjacency, half_bandwidth, positions, rcm_order, Banded, Pan
 use crate::waveform::{Edge, Waveform};
 use lim_tech::units::{Femtojoules, Picoseconds, Volts};
 
-/// Which linear-solver backend a [`TransientSim`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// Banded when the RCM-reordered bandwidth is small, dense otherwise.
-    #[default]
-    Auto,
-    /// Always dense LU with partial pivoting.
-    Dense,
-    /// Always banded LU (correct for any circuit, but slower than dense
-    /// when the reordered bandwidth is large).
-    Banded,
-}
-
 /// A transient simulation of a [`Circuit`].
 #[derive(Debug, Clone)]
 pub struct TransientSim<'a> {
     circuit: &'a Circuit,
-    solver: SolverKind,
 }
 
 /// One run in a [`run_probed_batch`] call: a circuit, the nodes whose
@@ -73,21 +60,9 @@ pub struct BatchRun<'a> {
 }
 
 impl<'a> TransientSim<'a> {
-    /// Prepares a simulation of `circuit` with the [`SolverKind::Auto`]
-    /// backend.
+    /// Prepares a simulation of `circuit`.
     pub fn new(circuit: &'a Circuit) -> Self {
-        TransientSim {
-            circuit,
-            solver: SolverKind::Auto,
-        }
-    }
-
-    /// Overrides the factorization backend (tests cross-check the dense
-    /// and banded paths against each other through this).
-    #[must_use]
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
-        self
+        TransientSim { circuit }
     }
 
     /// Integrates from `t = 0` to `t_end` with fixed step `dt`, recording
@@ -100,7 +75,8 @@ impl<'a> TransientSim<'a> {
     ///   path to a driver nor capacitance.
     /// * Any validation error from [`Circuit::validate`].
     pub fn run(&self, t_end: Picoseconds, dt: Picoseconds) -> Result<TransientResult, CircuitError> {
-        self.run_inner(None, t_end, dt)
+        let every_node: Vec<NodeId> = (0..self.circuit.node_count()).map(NodeId).collect();
+        self.run_probed(&every_node, t_end, dt)
     }
 
     /// Like [`TransientSim::run`], but records waveforms only for the
@@ -120,31 +96,14 @@ impl<'a> TransientSim<'a> {
         t_end: Picoseconds,
         dt: Picoseconds,
     ) -> Result<TransientResult, CircuitError> {
-        self.run_inner(Some(probes), t_end, dt)
-    }
-
-    fn run_inner(
-        &self,
-        probes: Option<&[NodeId]>,
-        t_end: Picoseconds,
-        dt: Picoseconds,
-    ) -> Result<TransientResult, CircuitError> {
-        let ckt = self.circuit;
-        ckt.validate()?;
-        check_window(t_end, dt)?;
-        let (dt_v, t_end_v) = (dt.value(), t_end.value());
-        let steps = (t_end_v / dt_v).ceil() as usize;
-        let probed = resolve_probes(probes, ckt.node_count());
-        let sym = analyze(ckt, self.solver);
-        if sym.banded {
-            lim_obs::counter_add("transient.banded_runs", 1);
-            let jobs = vec![GroupJob { ckt, probed, steps }];
-            let mut out = run_banded_group(jobs, &sym.order, &sym.pos, sym.k, dt)?;
-            Ok(out.pop().expect("one job yields one result"))
-        } else {
-            lim_obs::counter_add("transient.dense_runs", 1);
-            run_dense(ckt, probed, steps, dt)
-        }
+        let run = BatchRun {
+            circuit: self.circuit,
+            probes,
+            t_end,
+            dt,
+        };
+        let mut out = run_probed_batch(&[run])?;
+        Ok(out.pop().expect("one run yields one result"))
     }
 }
 
@@ -155,9 +114,10 @@ impl<'a> TransientSim<'a> {
 /// and their results cloned. Within a lockstep group, columns whose
 /// stamped matrices are bit-identical share a single factorization per
 /// switch-state change. Each run's result is bit-identical to running
-/// it alone through [`TransientSim::run_probed`] with the same solver.
+/// it alone through [`TransientSim::run_probed`].
 ///
 /// Observability counters: `transient.batched_runs` (runs submitted),
+/// `transient.banded_runs` (runs executed after dedup),
 /// `transient.batch_groups` (lockstep panels formed),
 /// `transient.shared_factorizations` (column joins to an existing
 /// factorization class), `transient.deduped_runs` (identical runs
@@ -166,10 +126,7 @@ impl<'a> TransientSim<'a> {
 /// # Errors
 ///
 /// As for [`TransientSim::run`], for any run in the batch.
-pub fn run_probed_batch(
-    runs: &[BatchRun<'_>],
-    solver: SolverKind,
-) -> Result<Vec<TransientResult>, CircuitError> {
+pub fn run_probed_batch(runs: &[BatchRun<'_>]) -> Result<Vec<TransientResult>, CircuitError> {
     if runs.is_empty() {
         return Ok(Vec::new());
     }
@@ -202,19 +159,11 @@ pub fn run_probed_batch(
         reps.push(i);
     }
 
-    // Symbolic analysis per representative; banded representatives with
-    // equal connectivity and stepping form one lockstep group.
-    let analyses: Vec<Symbolic> = reps
-        .iter()
-        .map(|&i| analyze(runs[i].circuit, solver))
-        .collect();
+    // Symbolic analysis per representative; representatives with equal
+    // connectivity and stepping form one lockstep group.
+    let analyses: Vec<Symbolic> = reps.iter().map(|&i| analyze(runs[i].circuit)).collect();
     let mut groups: Vec<Vec<usize>> = Vec::new(); // indices into `reps`
-    let mut dense: Vec<usize> = Vec::new();
     'group: for (ri, sym) in analyses.iter().enumerate() {
-        if !sym.banded {
-            dense.push(ri);
-            continue;
-        }
         for g in &mut groups {
             let first = g[0];
             // Same step size and same connectivity: columns lockstep on
@@ -240,7 +189,7 @@ pub fn run_probed_batch(
                 let r = &runs[reps[ri]];
                 GroupJob {
                     ckt: r.circuit,
-                    probed: resolve_probes(Some(r.probes), r.circuit.node_count()),
+                    probed: resolve_probes(r.probes),
                     steps: windows[reps[ri]].1,
                 }
             })
@@ -249,13 +198,6 @@ pub fn run_probed_batch(
         for (&ri, res) in g.iter().zip(out) {
             results[reps[ri]] = Some(res);
         }
-    }
-    for &ri in &dense {
-        lim_obs::counter_add("transient.dense_runs", 1);
-        let r = &runs[reps[ri]];
-        let (_, steps) = windows[reps[ri]];
-        let probed = resolve_probes(Some(r.probes), r.circuit.node_count());
-        results[reps[ri]] = Some(run_dense(r.circuit, probed, steps, r.dt)?);
     }
     for i in 0..runs.len() {
         if rep_of[i] != i {
@@ -279,30 +221,24 @@ fn check_window(t_end: Picoseconds, dt: Picoseconds) -> Result<(), CircuitError>
     Ok(())
 }
 
-/// Sorted, deduplicated node indices to trace (all nodes when `None`).
-fn resolve_probes(probes: Option<&[NodeId]>, n: usize) -> Vec<usize> {
-    match probes {
-        Some(list) => {
-            let mut ids: Vec<usize> = list.iter().map(|p| p.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        }
-        None => (0..n).collect(),
-    }
+/// Sorted, deduplicated node indices to trace.
+fn resolve_probes(probes: &[NodeId]) -> Vec<usize> {
+    let mut ids: Vec<usize> = probes.iter().map(|p| p.0).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
-/// Symbolic analysis of a circuit's connectivity: RCM ordering, band
-/// width of the permuted system, and the backend decision.
+/// Symbolic analysis of a circuit's connectivity: RCM ordering and the
+/// half-bandwidth of the permuted system.
 struct Symbolic {
     adj: Vec<Vec<usize>>,
     order: Vec<usize>,
     pos: Vec<usize>,
     k: usize,
-    banded: bool,
 }
 
-fn analyze(ckt: &Circuit, solver: SolverKind) -> Symbolic {
+fn analyze(ckt: &Circuit) -> Symbolic {
     let n = ckt.node_count();
     // Connectivity includes every switch whether or not it is closed,
     // so the band structure is valid for all switch states.
@@ -318,22 +254,7 @@ fn analyze(ckt: &Circuit, solver: SolverKind) -> Symbolic {
     let order = rcm_order(&adj);
     let pos = positions(&order);
     let k = half_bandwidth(&adj, &pos);
-    let banded = match solver {
-        SolverKind::Dense => false,
-        SolverKind::Banded => true,
-        // Banded factor is O(n·k²) vs dense O(n³) and each step's
-        // solve O(n·k) vs O(n²): worth it once the band is a small
-        // fraction of the matrix. Tiny systems stay dense — the
-        // reordering bookkeeping would dominate.
-        SolverKind::Auto => n >= 8 && 4 * k < n,
-    };
-    Symbolic {
-        adj,
-        order,
-        pos,
-        k,
-        banded,
-    }
+    Symbolic { adj, order, pos, k }
 }
 
 /// One member of a lockstep banded group.
@@ -652,7 +573,6 @@ fn run_banded_group(
                 final_v,
                 supply_energy: Femtojoules::new(col.supply_energy),
                 source_energy: col.source_energy.into_iter().map(Femtojoules::new).collect(),
-                banded: true,
             }
         })
         .collect())
@@ -697,130 +617,6 @@ fn solve_interleaved(data: &mut [f64], n: usize, b: usize, l_p: &[f64], u_p: &[f
     }
 }
 
-/// Dense fallback: full LU with partial pivoting, refreshed per
-/// switch-state change.
-fn run_dense(
-    ckt: &Circuit,
-    probed: Vec<usize>,
-    steps: usize,
-    dt: Picoseconds,
-) -> Result<TransientResult, CircuitError> {
-    let dt_v = dt.value();
-    let n = ckt.node_count();
-    // Static conductance stamp (resistors + source conductances).
-    let mut g_static = vec![vec![0.0; n]; n];
-    for r in &ckt.resistors {
-        let g = 1.0 / r.r;
-        g_static[r.a][r.a] += g;
-        g_static[r.b][r.b] += g;
-        g_static[r.a][r.b] -= g;
-        g_static[r.b][r.a] -= g;
-    }
-    for s in &ckt.sources {
-        g_static[s.node][s.node] += 1.0 / s.r_series;
-    }
-
-    let mut v: Vec<f64> = ckt.initial_v.clone();
-    let mut traces: Vec<Vec<f64>> = probed
-        .iter()
-        .map(|&i| {
-            let mut t = Vec::with_capacity(steps + 1);
-            t.push(v[i]);
-            t
-        })
-        .collect();
-
-    let mut lu: Option<(Vec<Vec<f64>>, Vec<usize>)> = None;
-    // Voltage-controlled switches latch once triggered, so `sw_state`
-    // doubles as the latch.
-    let mut sw_state = vec![false; ckt.switches.len()];
-    let mut supply_energy = 0.0;
-    let mut source_energy = vec![0.0; ckt.sources.len()];
-    let mut rhs = vec![0.0; n];
-
-    for step in 1..=steps {
-        let t = step as f64 * dt_v;
-
-        let mut changed = lu.is_none();
-        for (i, s) in ckt.switches.iter().enumerate() {
-            let closed = match s.control {
-                SwitchControl::Timed { .. } => {
-                    s.is_closed_at(t).expect("timed switch resolves by time")
-                }
-                SwitchControl::VoltageAbove { node, threshold } => {
-                    sw_state[i] || v[node] >= threshold
-                }
-                SwitchControl::VoltageBelow { node, threshold } => {
-                    sw_state[i] || v[node] <= threshold
-                }
-            };
-            if sw_state[i] != closed {
-                sw_state[i] = closed;
-                changed = true;
-            }
-        }
-        if changed {
-            lim_obs::counter_add("transient.refactorizations", 1);
-            let mut a = g_static.clone();
-            for (sw, closed) in ckt.switches.iter().zip(&sw_state) {
-                if *closed {
-                    let g = 1.0 / sw.r_on;
-                    match sw.b {
-                        SwitchTerminal::Ground => a[sw.a][sw.a] += g,
-                        SwitchTerminal::Node(b) => {
-                            a[sw.a][sw.a] += g;
-                            a[b][b] += g;
-                            a[sw.a][b] -= g;
-                            a[b][sw.a] -= g;
-                        }
-                    }
-                }
-            }
-            for (i, row) in a.iter_mut().enumerate() {
-                row[i] += ckt.caps[i] / dt_v;
-            }
-            let perm = lu_factor(&mut a)?;
-            lu = Some((a, perm));
-        }
-
-        // RHS: history term + source currents at t.
-        for i in 0..n {
-            rhs[i] = ckt.caps[i] / dt_v * v[i];
-        }
-        for s in &ckt.sources {
-            rhs[s.node] += s.target_at(t) / s.r_series;
-        }
-
-        let (a, perm) = lu.as_ref().expect("factorization exists");
-        lu_solve(a, perm, &rhs, &mut v);
-
-        // Energy delivered by each driver over this step.
-        for (k, s) in ckt.sources.iter().enumerate() {
-            let vt = s.target_at(t);
-            let i_out = (vt - v[s.node]) / s.r_series; // mA
-            let e = vt * i_out * dt_v; // fJ
-            source_energy[k] += e;
-            supply_energy += e;
-        }
-
-        for (trace, &i) in traces.iter_mut().zip(&probed) {
-            trace.push(v[i]);
-        }
-    }
-
-    let mut waveforms: Vec<Option<Waveform>> = (0..n).map(|_| None).collect();
-    for (trace, &i) in traces.into_iter().zip(&probed) {
-        waveforms[i] = Some(Waveform::new(Picoseconds::ZERO, dt, trace));
-    }
-    Ok(TransientResult {
-        waveforms,
-        final_v: v,
-        supply_energy: Femtojoules::new(supply_energy),
-        source_energy: source_energy.into_iter().map(Femtojoules::new).collect(),
-        banded: false,
-    })
-}
-
 /// The outcome of a transient run: one waveform per probed node plus the
 /// final voltage of every node and integrated supply energy.
 #[derive(Debug, Clone)]
@@ -829,7 +625,6 @@ pub struct TransientResult {
     final_v: Vec<f64>,
     supply_energy: Femtojoules,
     source_energy: Vec<Femtojoules>,
-    banded: bool,
 }
 
 impl TransientResult {
@@ -885,83 +680,6 @@ impl TransientResult {
     /// Energy delivered by one driver.
     pub fn source_energy(&self, source: SourceId) -> Femtojoules {
         self.source_energy[source.0]
-    }
-
-    /// True when the banded backend solved this run (exposed so tests
-    /// and benches can assert which path they exercised).
-    pub fn used_banded_solver(&self) -> bool {
-        self.banded
-    }
-}
-
-/// In-place LU factorization with partial pivoting. Returns the row
-/// permutation.
-fn lu_factor(a: &mut [Vec<f64>]) -> Result<Vec<usize>, CircuitError> {
-    let n = a.len();
-    let mut perm: Vec<usize> = (0..n).collect();
-    for col in 0..n {
-        // Pivot.
-        let mut best = col;
-        let mut best_mag = a[col][col].abs();
-        for (row, a_row) in a.iter().enumerate().skip(col + 1) {
-            let mag = a_row[col].abs();
-            if mag > best_mag {
-                best = row;
-                best_mag = mag;
-            }
-        }
-        // The dense path pivots, so the best candidate is judged
-        // relative to the whole column's magnitude (scale-independent,
-        // like the banded backend's row-relative test): a column whose
-        // candidates all vanished against its upper entries is
-        // (near-)singular, and an all-zero column certainly is.
-        let scale = a.iter().map(|row| row[col].abs()).fold(0.0f64, f64::max);
-        if best_mag < 1e-12 * scale || scale == 0.0 {
-            return Err(CircuitError::SingularSystem {
-                node: col,
-                magnitude: best_mag,
-            });
-        }
-        if best != col {
-            a.swap(best, col);
-            perm.swap(best, col);
-        }
-        let pivot = a[col][col];
-        for row in col + 1..n {
-            let factor = a[row][col] / pivot;
-            a[row][col] = factor;
-            if factor != 0.0 {
-                // Split the row pair to satisfy the borrow checker.
-                let (upper, lower) = a.split_at_mut(row);
-                let (prow, crow) = (&upper[col], &mut lower[0]);
-                for k in col + 1..n {
-                    crow[k] -= factor * prow[k];
-                }
-            }
-        }
-    }
-    Ok(perm)
-}
-
-/// Solves `A x = b` given the LU factorization and permutation from
-/// [`lu_factor`]. The solution lands in `x`; `b` is left untouched.
-fn lu_solve(a: &[Vec<f64>], perm: &[usize], b: &[f64], x: &mut [f64]) {
-    let n = a.len();
-    // Apply permutation and forward-substitute.
-    for i in 0..n {
-        x[i] = b[perm[i]];
-    }
-    for i in 0..n {
-        for k in 0..i {
-            x[i] -= a[i][k] * x[k];
-        }
-    }
-    // Back-substitute.
-    for i in (0..n).rev() {
-        for k in i + 1..n {
-            x[i] -= a[i][k] * x[k];
-        }
-        x[i] /= a[i][i];
     }
 }
 
@@ -1075,18 +793,15 @@ mod tests {
     fn floating_node_is_singular() {
         let mut ckt = Circuit::new();
         let _ = ckt.add_node("float"); // no cap, no path
-        for kind in [SolverKind::Auto, SolverKind::Dense, SolverKind::Banded] {
-            let err = TransientSim::new(&ckt)
-                .with_solver(kind)
-                .run(Picoseconds::new(1.0), Picoseconds::new(0.1))
-                .unwrap_err();
-            match err {
-                CircuitError::SingularSystem { node, magnitude } => {
-                    assert_eq!(node, 0);
-                    assert_eq!(magnitude, 0.0);
-                }
-                other => panic!("expected SingularSystem, got {other:?}"),
+        let err = TransientSim::new(&ckt)
+            .run(Picoseconds::new(1.0), Picoseconds::new(0.1))
+            .unwrap_err();
+        match err {
+            CircuitError::SingularSystem { node, magnitude } => {
+                assert_eq!(node, 0);
+                assert_eq!(magnitude, 0.0);
             }
+            other => panic!("expected SingularSystem, got {other:?}"),
         }
     }
 
@@ -1116,8 +831,7 @@ mod tests {
         assert!((res.final_voltage(b).value() - VDD / 2.0).abs() < 0.01);
     }
 
-    /// Builds a ladder long enough for [`SolverKind::Auto`] to choose the
-    /// banded path.
+    /// Builds an `n`-node RC ladder driven from one end.
     fn long_ladder(n: usize) -> (Circuit, NodeId) {
         let mut ckt = Circuit::new();
         let mut prev = ckt.add_node("n0");
@@ -1152,21 +866,6 @@ mod tests {
             last = node;
         }
         (ckt, last)
-    }
-
-    #[test]
-    fn auto_picks_banded_for_ladders_and_dense_for_tiny_systems() {
-        let (ladder, _) = long_ladder(40);
-        let res = TransientSim::new(&ladder)
-            .run(Picoseconds::new(50.0), Picoseconds::new(0.1))
-            .unwrap();
-        assert!(res.used_banded_solver());
-
-        let (tiny, _, _) = charge_circuit(1.0, 1.0);
-        let res = TransientSim::new(&tiny)
-            .run(Picoseconds::new(10.0), Picoseconds::new(0.1))
-            .unwrap();
-        assert!(!res.used_banded_solver());
     }
 
     #[test]
@@ -1262,21 +961,19 @@ mod tests {
             BatchRun { circuit: &c, probes: &c_probe, t_end, dt },
             BatchRun { circuit: &d, probes: &d_probe, t_end, dt },
         ];
-        let batch = run_probed_batch(&runs, SolverKind::Auto).unwrap();
+        let batch = run_probed_batch(&runs).unwrap();
         assert_eq!(batch.len(), runs.len());
         for (i, run) in runs.iter().enumerate() {
             let solo = TransientSim::new(run.circuit)
                 .run_probed(run.probes, t_end, dt)
                 .unwrap();
-            assert!(batch[i].used_banded_solver());
             assert_bit_identical(&batch[i], &solo, run.probes[0], &format!("run {i}"));
         }
     }
 
     #[test]
-    fn batch_handles_dense_and_empty_inputs() {
-        assert!(run_probed_batch(&[], SolverKind::Auto).unwrap().is_empty());
-        // Tiny circuits fall back to the dense path inside a batch too.
+    fn batch_handles_tiny_and_empty_inputs() {
+        assert!(run_probed_batch(&[]).unwrap().is_empty());
         let (tiny, node, _) = charge_circuit(1.0, 10.0);
         let probes = [node];
         let runs = [BatchRun {
@@ -1285,12 +982,11 @@ mod tests {
             t_end: Picoseconds::new(50.0),
             dt: Picoseconds::new(0.05),
         }];
-        let batch = run_probed_batch(&runs, SolverKind::Auto).unwrap();
-        assert!(!batch[0].used_banded_solver());
+        let batch = run_probed_batch(&runs).unwrap();
         let solo = TransientSim::new(&tiny)
             .run_probed(&probes, Picoseconds::new(50.0), Picoseconds::new(0.05))
             .unwrap();
-        assert_bit_identical(&batch[0], &solo, node, "dense batch run");
+        assert_bit_identical(&batch[0], &solo, node, "tiny batch run");
     }
 
     #[test]
@@ -1314,7 +1010,7 @@ mod tests {
                 dt: Picoseconds::new(0.1),
             },
         ];
-        let err = run_probed_batch(&runs, SolverKind::Auto).unwrap_err();
+        let err = run_probed_batch(&runs).unwrap_err();
         assert!(matches!(err, CircuitError::SingularSystem { .. }));
     }
 
@@ -1344,6 +1040,14 @@ mod tests {
                 ckt.add_resistor(nodes[a], nodes[b], KiloOhms::new(0.1 + rng.unit_f64()));
             }
         }
+        drive_and_switch(&mut ckt, &nodes, rng);
+        ckt
+    }
+
+    /// One stepped driver on a random node and, half the time, a timed
+    /// switch to ground.
+    fn drive_and_switch(ckt: &mut Circuit, nodes: &[NodeId], rng: &mut TestRng) {
+        let n = nodes.len();
         let driven = rng.bounded(n as u64) as usize;
         let src = ckt.add_source(nodes[driven], KiloOhms::new(0.5), Volts::ZERO);
         ckt.schedule(src, Picoseconds::ZERO, Volts::new(VDD));
@@ -1355,39 +1059,128 @@ mod tests {
                 Picoseconds::new(20.0),
             );
         }
+    }
+
+    /// Complete graph on 2..=10 nodes: after any reordering the
+    /// half-bandwidth is `n − 1`, the fully coupled extreme.
+    fn complete_circuit(rng: &mut TestRng) -> Circuit {
+        let n = 2 + rng.bounded(9) as usize;
+        let mut ckt = Circuit::new();
+        let nodes: Vec<NodeId> = (0..n).map(|i| ckt.add_node(format!("n{i}"))).collect();
+        for (i, &a) in nodes.iter().enumerate() {
+            ckt.add_cap(a, Femtofarads::new(0.5 + 4.0 * rng.unit_f64()));
+            for &b in &nodes[i + 1..] {
+                ckt.add_resistor(a, b, KiloOhms::new(0.05 + rng.unit_f64()));
+            }
+        }
+        drive_and_switch(&mut ckt, &nodes, rng);
+        assert_eq!(analyze(&ckt).k, n - 1);
         ckt
     }
 
-    #[test]
-    fn prop_sparse_and_dense_solvers_agree() {
-        prop::check("sparse_dense_agreement", |rng| {
-            let ckt = random_circuit(rng);
-            let t_end = Picoseconds::new(60.0);
-            let dt = Picoseconds::new(0.1);
-            let dense = TransientSim::new(&ckt)
-                .with_solver(SolverKind::Dense)
-                .run(t_end, dt)
-                .unwrap();
-            let banded = TransientSim::new(&ckt)
-                .with_solver(SolverKind::Banded)
-                .run(t_end, dt)
-                .unwrap();
-            assert!(!dense.used_banded_solver());
-            assert!(banded.used_banded_solver());
-            for i in 0..ckt.node_count() {
-                let node = NodeId(i);
-                let (a, b) = (dense.waveform(node), banded.waveform(node));
-                assert_eq!(a.len(), b.len());
-                for s in 0..a.len() {
-                    let (va, vb) = (a.at(s).value(), b.at(s).value());
-                    assert!(
-                        (va - vb).abs() < 1e-9,
-                        "node {i} sample {s}: dense {va} vs banded {vb}"
-                    );
+    /// Test-only reference: a dense backward-Euler stepper that stamps
+    /// `G + C/Δt` afresh every step and solves it by Gaussian
+    /// elimination with partial pivoting. Returns every node's trace and
+    /// the total supply energy.
+    fn reference_run(ckt: &Circuit, t_end: f64, dt: f64) -> (Vec<Vec<f64>>, f64) {
+        let n = ckt.node_count();
+        let mut v = ckt.initial_v.clone();
+        let mut traces: Vec<Vec<f64>> = v.iter().map(|&x| vec![x]).collect();
+        let mut latched = vec![false; ckt.switches.len()];
+        let mut energy = 0.0;
+        for step in 1..=(t_end / dt).ceil() as usize {
+            let t = step as f64 * dt;
+            let mut a = vec![vec![0.0; n]; n];
+            let mut stamp = |p: usize, q: Option<usize>, g: f64| {
+                a[p][p] += g;
+                if let Some(q) = q {
+                    a[q][q] += g;
+                    a[p][q] -= g;
+                    a[q][p] -= g;
+                }
+            };
+            for r in &ckt.resistors {
+                stamp(r.a, Some(r.b), 1.0 / r.r);
+            }
+            for (sw, on) in ckt.switches.iter().zip(&mut latched) {
+                *on = match sw.control {
+                    SwitchControl::Timed { .. } => sw.is_closed_at(t).expect("timed"),
+                    SwitchControl::VoltageAbove { node, threshold } => *on || v[node] >= threshold,
+                    SwitchControl::VoltageBelow { node, threshold } => *on || v[node] <= threshold,
+                };
+                if *on {
+                    let other = match sw.b {
+                        SwitchTerminal::Node(b) => Some(b),
+                        SwitchTerminal::Ground => None,
+                    };
+                    stamp(sw.a, other, 1.0 / sw.r_on);
                 }
             }
-            let (ea, eb) = (dense.supply_energy().value(), banded.supply_energy().value());
-            assert!((ea - eb).abs() < 1e-6 * ea.abs().max(1.0), "{ea} vs {eb}");
+            let mut x: Vec<f64> = (0..n).map(|i| ckt.caps[i] / dt * v[i]).collect();
+            for (i, row) in a.iter_mut().enumerate() {
+                row[i] += ckt.caps[i] / dt;
+            }
+            for s in &ckt.sources {
+                a[s.node][s.node] += 1.0 / s.r_series;
+                x[s.node] += s.target_at(t) / s.r_series;
+            }
+            for col in 0..n {
+                let piv = (col..n)
+                    .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
+                    .expect("non-empty column");
+                a.swap(col, piv);
+                x.swap(col, piv);
+                for row in col + 1..n {
+                    let f = a[row][col] / a[col][col];
+                    let (upper, lower) = a.split_at_mut(row);
+                    for (d, p) in lower[0][col..].iter_mut().zip(&upper[col][col..]) {
+                        *d -= f * p;
+                    }
+                    x[row] -= f * x[col];
+                }
+            }
+            for i in (0..n).rev() {
+                let tail: f64 = (i + 1..n).map(|c| a[i][c] * x[c]).sum();
+                x[i] = (x[i] - tail) / a[i][i];
+            }
+            v = x;
+            for s in &ckt.sources {
+                let vt = s.target_at(t);
+                energy += vt * (vt - v[s.node]) / s.r_series * dt;
+            }
+            for (trace, &vi) in traces.iter_mut().zip(&v) {
+                trace.push(vi);
+            }
+        }
+        (traces, energy)
+    }
+
+    fn assert_matches_reference(ckt: &Circuit) {
+        let (t_end, dt) = (60.0, 0.1);
+        let banded = TransientSim::new(ckt)
+            .run(Picoseconds::new(t_end), Picoseconds::new(dt))
+            .unwrap();
+        let (traces, reference_energy) = reference_run(ckt, t_end, dt);
+        for (i, trace) in traces.iter().enumerate() {
+            let w = banded.waveform(NodeId(i));
+            assert_eq!(w.len(), trace.len());
+            for (s, &vr) in trace.iter().enumerate() {
+                let vb = w.at(s).value();
+                assert!(
+                    (vr - vb).abs() < 1e-9,
+                    "node {i} sample {s}: reference {vr} vs banded {vb}"
+                );
+            }
+        }
+        let (ea, eb) = (reference_energy, banded.supply_energy().value());
+        assert!((ea - eb).abs() < 1e-6 * ea.abs().max(1.0), "{ea} vs {eb}");
+    }
+
+    #[test]
+    fn prop_banded_solver_matches_dense_reference() {
+        prop::check("banded_reference_agreement", |rng| {
+            assert_matches_reference(&random_circuit(rng));
+            assert_matches_reference(&complete_circuit(rng));
         });
     }
 
@@ -1408,7 +1201,7 @@ mod tests {
                     dt,
                 })
                 .collect();
-            let batch = run_probed_batch(&runs, SolverKind::Auto).unwrap();
+            let batch = run_probed_batch(&runs).unwrap();
             for (i, run) in runs.iter().enumerate() {
                 let solo = TransientSim::new(run.circuit)
                     .run_probed(run.probes, t_end, dt)

@@ -35,10 +35,24 @@ use lim_serve::net::{percentile, write_line, LineReader};
 use lim_serve::protocol::ERR_OVERLOADED;
 use lim_serve::ring::route_key;
 use lim_serve::HashRing;
-use std::io;
+use std::fmt::Display;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+/// Writes one line to stdout. A reader that closed the pipe early
+/// (`lim-client … | head -c 10`) ends the run with status 0, as for any
+/// Unix filter, where `println!` would panic.
+fn emit(line: impl Display) {
+    if let Err(e) = writeln!(io::stdout().lock(), "{line}") {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("lim-client: stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 struct Args {
     addr: String,
@@ -211,7 +225,7 @@ fn single_shot(args: &Args, method: &str) -> io::Result<bool> {
         for shard in &args.shards {
             let (mut writer, mut reader) = connect(shard)?;
             let response = roundtrip(&mut writer, &mut reader, 0, method, &args.params)?;
-            println!("{response}");
+            emit(&response);
             all_ok &= is_ok(&response);
         }
         return Ok(all_ok);
@@ -221,7 +235,7 @@ fn single_shot(args: &Args, method: &str) -> io::Result<bool> {
     let (mut writer, mut reader) = connect(&addr)?;
     let trace = args.trace.then(TraceId::mint);
     let response = roundtrip_traced(&mut writer, &mut reader, 0, method, &args.params, trace)?;
-    println!("{response}");
+    emit(&response);
     let ok = is_ok(&response);
     if ok {
         if let Some(id) = trace {
@@ -243,7 +257,10 @@ fn print_trace(writer: &mut TcpStream, reader: &mut LineReader, id: TraceId) -> 
         .and_then(|r| r.get("traces"))
         .and_then(Value::as_array);
     let Some(Some(trace)) = traces.map(|t| t.first()) else {
-        println!("trace {}: not retained by the server", id.render());
+        emit(format_args!(
+            "trace {}: not retained by the server",
+            id.render()
+        ));
         return Ok(());
     };
     let method = trace.get("method").and_then(Value::as_str).unwrap_or("?");
@@ -252,7 +269,10 @@ fn print_trace(writer: &mut TcpStream, reader: &mut LineReader, id: TraceId) -> 
         .and_then(Value::as_f64)
         .unwrap_or(0.0)
         / 1e3;
-    println!("trace {} method={method} total={total_us:.1}us", id.render());
+    emit(format_args!(
+        "trace {} method={method} total={total_us:.1}us",
+        id.render()
+    ));
     for span in trace
         .get("spans")
         .and_then(Value::as_array)
@@ -263,10 +283,10 @@ fn print_trace(writer: &mut TcpStream, reader: &mut LineReader, id: TraceId) -> 
         let name = span.get("name").and_then(Value::as_str).unwrap_or("?");
         let calls = span.get("calls").and_then(Value::as_f64).unwrap_or(0.0);
         let span_us = span.get("total_ns").and_then(Value::as_f64).unwrap_or(0.0) / 1e3;
-        println!(
+        emit(format_args!(
             "{}{name} calls={calls:.0} total={span_us:.1}us",
             "  ".repeat(depth + 1)
-        );
+        ));
     }
     Ok(())
 }
@@ -430,28 +450,28 @@ fn load_generator(args: &Args) -> io::Result<bool> {
     all.latencies_us.sort_unstable();
     let total = all.latencies_us.len();
     if !args.quiet {
-        println!(
+        emit(format_args!(
             "lim-client: {total} requests over {workers} connections in {:.1} ms \
              ({:.0} req/s)",
             elapsed.as_secs_f64() * 1e3,
             total as f64 / elapsed.as_secs_f64().max(1e-9),
-        );
-        println!(
+        ));
+        emit(format_args!(
             "  ok {} | shed {} | errors {}",
             all.ok, all.shed, all.errors
-        );
-        println!(
+        ));
+        emit(format_args!(
             "  latency µs: p50 {} | p90 {} | p99 {} | max {}",
             percentile(&all.latencies_us, 0.50),
             percentile(&all.latencies_us, 0.90),
             percentile(&all.latencies_us, 0.99),
             all.latencies_us.last().copied().unwrap_or(0),
-        );
+        ));
     }
     if let Some(path) = &args.latency_export {
         export_latency(path, &all.latencies_us)?;
         if !args.quiet {
-            println!("  latency rows written to {path}");
+            emit(format_args!("  latency rows written to {path}"));
         }
     }
     Ok(all.errors == 0)
@@ -485,7 +505,7 @@ fn main() -> ExitCode {
             let addr = args.shards.first().unwrap_or(&args.addr);
             export_telemetry(addr, path)?;
             if !args.quiet {
-                println!("telemetry written to {path}");
+                emit(format_args!("telemetry written to {path}"));
             }
         }
         Ok(ok)

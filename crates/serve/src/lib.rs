@@ -17,16 +17,18 @@
 //! * [`gate`] — backpressure: a bounded in-flight gate; requests that
 //!   find it full are shed with an explicit 429-style error instead of
 //!   queueing.
-//! * [`server`] — the TCP front end and graceful drain. On Linux a
-//!   `poll(2)` event loop (one thread, a small worker pool) carries
-//!   every connection, so thousands of idle clients cost ~zero CPU;
-//!   elsewhere a thread-per-connection fallback keeps identical wire
-//!   behavior. [`net`] holds the line framing shared by both.
+//! * [`server`] — the TCP front end and graceful drain. A `poll(2)`
+//!   event loop (one thread, a small worker pool) carries every
+//!   connection, so thousands of idle clients cost ~zero CPU. [`net`]
+//!   holds the line framing the router and clients share with it.
 //! * [`disk`] — the persistent compile cache: responses and library
 //!   keys survive restarts, so a rebooted shard answers repeated
 //!   requests from disk, byte-identical, without recompiling.
 //! * [`ring`]/[`router`] — cluster mode: `lim-router` consistent-hashes
 //!   brick keys across shards and scatter/gathers `batch` requests.
+//!
+//! The crate is Linux-only: the server is built on `poll(2)`, and other
+//! targets fail to compile with an explicit error.
 //!
 //! Two binaries ship with the crate: `lim-serve` (the daemon) and
 //! `lim-client` (a one-shot caller that doubles as a load generator
@@ -57,11 +59,13 @@
 //! # }
 //! ```
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("lim-serve is Linux-only: its server is a poll(2) event loop");
+
 pub mod cache;
 pub mod disk;
 pub mod gate;
 pub mod net;
-#[cfg(target_os = "linux")]
 mod poll;
 pub mod protocol;
 pub mod ring;

@@ -1,15 +1,14 @@
 //! The TCP front end: listener setup, connection accounting, admission
 //! gate, and graceful drain.
 //!
-//! On Linux the accept loop and all connection I/O run on a single
+//! The accept loop and all connection I/O run on a single
 //! `poll(2)`-driven event thread (see [`crate::poll`]): idle
 //! connections cost one slab slot and one pollfd each, not a thread,
 //! so one shard sustains thousands of them at ~zero CPU. Heavy
 //! requests are handed to a small worker pool; cheap ones (transport
 //! methods, `server.ping`, estimates and memo hits) run inline on the
 //! event thread to keep the single-connection latency of the old
-//! thread-per-connection design. Elsewhere a thread-per-connection
-//! fallback with identical wire behavior is used.
+//! thread-per-connection design.
 //!
 //! `server.shutdown` (or [`ServerHandle::shutdown`]) drains cleanly:
 //! in-flight requests finish, their responses are written, every
@@ -27,9 +26,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
-
-#[cfg(not(target_os = "linux"))]
-use std::time::Duration;
 
 /// Honest connection accounting, surfaced by `server.stats` and
 /// mirrored into the obs gauges/counters. Invariants: `accepted ==
@@ -142,14 +138,7 @@ impl Server {
     /// Propagates listener socket failures (per-connection errors only
     /// end that connection).
     pub fn run(self) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        {
-            crate::poll::run(self.listener, self.shared)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            threaded_run(self.listener, self.shared)
-        }
+        crate::poll::run(self.listener, self.shared)
     }
 
     /// Runs the server on a background thread, returning a handle with
@@ -299,92 +288,4 @@ pub(crate) fn stats_value(shared: &ServerShared) -> Value {
         members.extend(service_members);
     }
     Value::Object(members)
-}
-
-/// Thread-per-connection fallback for non-Linux hosts: same wire
-/// behavior as the poll loop (including the 400 error line sent before
-/// closing on oversized or non-UTF-8 input), one thread per socket.
-#[cfg(not(target_os = "linux"))]
-fn threaded_run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Result<()> {
-    const ACCEPT_POLL: Duration = Duration::from_millis(5);
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(&shared);
-                shared.conns.on_accept();
-                workers.push(thread::spawn(move || {
-                    // A dropped client mid-write is that client's
-                    // problem, not the server's.
-                    let timed_out = handle_connection(stream, &shared).unwrap_or(false);
-                    shared.conns.on_close(timed_out);
-                }));
-                workers.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    for handle in workers {
-        let _ = handle.join();
-    }
-    Ok(())
-}
-
-/// One connection's read-respond loop. Returns whether the connection
-/// was closed by the idle timeout.
-#[cfg(not(target_os = "linux"))]
-fn handle_connection(stream: std::net::TcpStream, shared: &ServerShared) -> io::Result<bool> {
-    use crate::net::{write_line, LineReader};
-    const READ_POLL: Duration = Duration::from_millis(100);
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = LineReader::new(stream);
-    let mut last_activity = Instant::now();
-    loop {
-        let idle_deadline = shared.idle_timeout.map(|t| last_activity + t);
-        let stop = || {
-            shared.shutdown.load(Ordering::Acquire)
-                || idle_deadline.is_some_and(|d| Instant::now() >= d)
-        };
-        let line = match reader.read_line(&stop) {
-            Ok(Some(line)) => line,
-            Ok(None) => {
-                // EOF, drain, or idle timeout — tell them apart.
-                let timed_out = !shared.shutdown.load(Ordering::Acquire)
-                    && idle_deadline.is_some_and(|d| Instant::now() >= d);
-                return Ok(timed_out);
-            }
-            // Framing failure (line too long, not UTF-8): answer with a
-            // well-formed 400 error line, then close.
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let err = ServeError::bad_request(e.to_string());
-                let _ = write_line(&mut writer, &error_line(&Value::Null, &err));
-                return Ok(false);
-            }
-            Err(e) => return Err(e),
-        };
-        last_activity = Instant::now();
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rq = match Request::parse(&line) {
-            Ok(rq) => rq,
-            Err(e) => {
-                write_line(&mut writer, &error_line(&Value::Null, &e))?;
-                continue;
-            }
-        };
-        let response =
-            transport_response(&rq, shared).unwrap_or_else(|| execute(&rq, shared));
-        write_line(&mut writer, &response)?;
-        // Drain: finish the request in hand, then close the connection.
-        if shared.shutdown.load(Ordering::Acquire) {
-            return Ok(false);
-        }
-    }
 }

@@ -274,46 +274,18 @@ impl Service {
     }
 
     /// Memo layer: deterministic endpoints are served from the response
-    /// cache keyed by the canonical request rendering. `"nocache":true`
-    /// in the params bypasses the memo (used by load generators that
-    /// want to measure the compute path).
+    /// memo (then the persistent tier) under [`memo_key`]; a fresh
+    /// answer is stored in both.
     fn call_cached(&self, method: &str, params: &Value) -> (Result<String, ServeError>, bool) {
-        let memoizable = matches!(
-            method,
-            "brick.estimate" | "golden.compare" | "flow.run" | "dse.explore" | "rtl.infer"
-        ) && params.get("nocache") != Some(&Value::Bool(true));
-        if !memoizable {
+        let Some(key) = memo_key(method, params) else {
             return (self.dispatch(method, params), false);
-        }
-        let key = cache_key(method, params);
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .expect("response cache lock poisoned")
-            .get(key)
-            .map(str::to_owned)
-        {
-            lim_obs::counter_add("serve.cache_hits", 1);
+        };
+        if let Some(hit) = self.memo_lookup(key) {
             return (Ok(hit), true);
         }
-        // Memo miss: the persistent tier may still have the canonical
-        // bytes from a previous process. A disk hit is promoted into the
-        // memo and reported `cached` — byte-identical to a cold compile
-        // because the stored bytes *are* a cold compile's rendering.
-        if let Some(body) = self.disk_probe(key) {
-            return (Ok(body), true);
-        }
-        lim_obs::counter_add("serve.cache_misses", 1);
         let result = self.dispatch(method, params);
         if let Ok(rendered) = &result {
-            let _span = lim_obs::Span::enter("memo_insert");
-            self.cache
-                .lock()
-                .expect("response cache lock poisoned")
-                .insert(key, rendered.clone());
-            if let Some(disk) = &self.disk {
-                disk.store_response(key, method, rendered);
-            }
+            self.memo_store(key, method, rendered);
         }
         (result, false)
     }
@@ -324,28 +296,45 @@ impl Service {
     /// loop uses this to run probable memo hits inline on the event
     /// thread instead of paying a worker handoff.
     pub fn memo_probe(&self, method: &str, params: &Value) -> bool {
-        matches!(
-            method,
-            "brick.estimate" | "golden.compare" | "flow.run" | "dse.explore" | "rtl.infer"
-        ) && params.get("nocache") != Some(&Value::Bool(true))
-            && self
-                .cache
+        memo_key(method, params).is_some_and(|key| {
+            self.cache
                 .lock()
                 .expect("response cache lock poisoned")
-                .contains(cache_key(method, params))
+                .contains(key)
+        })
     }
 
-    /// Probes the persistent tier for `key`, promoting a hit into the
-    /// in-memory memo.
-    fn disk_probe(&self, key: u64) -> Option<String> {
-        let disk = self.disk.as_ref()?;
-        let body = disk.load_response(key)?;
-        lim_obs::counter_add("serve.disk_hits", 1);
+    /// Looks `key` up in the in-memory memo, then in the persistent
+    /// tier. A disk hit holds the canonical bytes of a previous process's
+    /// cold compile, so it is promoted into the memo and served as
+    /// `cached`, byte-identical. Counts `serve.cache_hits`,
+    /// `serve.disk_hits` or `serve.cache_misses`.
+    fn memo_lookup(&self, key: u64) -> Option<String> {
+        let cache = || self.cache.lock().expect("response cache lock poisoned");
+        if let Some(hit) = cache().get(key).map(str::to_owned) {
+            lim_obs::counter_add("serve.cache_hits", 1);
+            return Some(hit);
+        }
+        if let Some(body) = self.disk.as_ref().and_then(|disk| disk.load_response(key)) {
+            lim_obs::counter_add("serve.disk_hits", 1);
+            cache().insert(key, body.clone());
+            return Some(body);
+        }
+        lim_obs::counter_add("serve.cache_misses", 1);
+        None
+    }
+
+    /// Stores a freshly computed response in the memo and the
+    /// persistent tier.
+    fn memo_store(&self, key: u64, method: &str, rendered: &str) {
+        let _span = lim_obs::Span::enter("memo_insert");
         self.cache
             .lock()
             .expect("response cache lock poisoned")
-            .insert(key, body.clone());
-        Some(body)
+            .insert(key, rendered.to_owned());
+        if let Some(disk) = &self.disk {
+            disk.store_response(key, method, rendered);
+        }
     }
 
     fn dispatch(&self, method: &str, params: &Value) -> Result<String, ServeError> {
@@ -717,27 +706,13 @@ impl Service {
                     slots[i] = Some(entry_err(&e));
                 }
                 Ok((spec, stack)) => {
-                    if params.get("nocache") == Some(&Value::Bool(true)) {
-                        goldens.push((i, spec, stack, None));
-                        continue;
-                    }
-                    let key = cache_key(&method, &params);
-                    let hit = self
-                        .cache
-                        .lock()
-                        .expect("response cache lock poisoned")
-                        .get(key)
-                        .map(str::to_owned);
-                    if let Some(rendered) = hit {
-                        lim_obs::counter_add("serve.cache_hits", 1);
-                        self.record_endpoint(&method, sw.elapsed(), false);
-                        slots[i] = Some(entry_ok(true, &rendered));
-                    } else if let Some(body) = self.disk_probe(key) {
-                        self.record_endpoint(&method, sw.elapsed(), false);
-                        slots[i] = Some(entry_ok(true, &body));
-                    } else {
-                        lim_obs::counter_add("serve.cache_misses", 1);
-                        goldens.push((i, spec, stack, Some(key)));
+                    let key = memo_key(&method, &params);
+                    match key.and_then(|key| self.memo_lookup(key)) {
+                        Some(rendered) => {
+                            self.record_endpoint(&method, sw.elapsed(), false);
+                            slots[i] = Some(entry_ok(true, &rendered));
+                        }
+                        None => goldens.push((i, spec, stack, key)),
                     }
                 }
             }
@@ -760,13 +735,7 @@ impl Service {
                     Ok(cmp) => {
                         let rendered = render_golden(spec, *stack, &cmp);
                         if let Some(key) = key {
-                            self.cache
-                                .lock()
-                                .expect("response cache lock poisoned")
-                                .insert(*key, rendered.clone());
-                            if let Some(disk) = &self.disk {
-                                disk.store_response(*key, "golden.compare", &rendered);
-                            }
+                            self.memo_store(*key, "golden.compare", &rendered);
                         }
                         entry_ok(false, &rendered)
                     }
@@ -1029,6 +998,18 @@ impl Service {
             }
         }
     }
+}
+
+/// Memo key of a request, or `None` when its answer is not memoized.
+/// Only the deterministic endpoints are; `"nocache":true` in the params
+/// bypasses the memo (used by load generators that want to measure the
+/// compute path).
+fn memo_key(method: &str, params: &Value) -> Option<u64> {
+    let memoizable = matches!(
+        method,
+        "brick.estimate" | "golden.compare" | "flow.run" | "dse.explore" | "rtl.infer"
+    ) && params.get("nocache") != Some(&Value::Bool(true));
+    memoizable.then(|| cache_key(method, params))
 }
 
 /// Content fingerprint of a compiled entry: FNV-1a over the rendered

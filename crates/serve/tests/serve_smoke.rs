@@ -344,7 +344,6 @@ fn restart_on_warm_disk_answers_cached_and_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn a_thousand_idle_connections_cost_no_threads() {
     // The poll loop's reason to exist: idle connections are slab slots,

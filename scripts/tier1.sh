@@ -103,6 +103,21 @@ rtl_warm=$(client --method rtl.infer --source-file examples/smart_mem.v \
 [[ "$rtl_warm" == "${rtl_cold/\"cached\":false/\"cached\":true}" ]] \
     || { echo "rtl.infer warm answer differs from cold compute" >&2; \
          echo "cold: ${rtl_cold:0:400}" >&2; echo "warm: ${rtl_warm:0:400}" >&2; exit 1; }
+# A reader that closes the pipe early must not make lim-client panic:
+# like any Unix filter it stops writing and exits 0.
+pipe_err=/tmp/tier1_client_pipe_err
+pipe_status=(0)
+client --method rtl.infer --source-file examples/smart_mem.v \
+    --params '{"brick_words":[16,32,64]}' 2>"$pipe_err" | head -c 1 >/dev/null \
+    || pipe_status=("${PIPESTATUS[@]}")
+[[ "${pipe_status[0]}" == 0 ]] \
+    || { echo "lim-client exited ${pipe_status[0]} on a closed stdout" >&2; \
+         cat "$pipe_err" >&2; exit 1; }
+if grep -q 'panicked' "$pipe_err"; then
+    echo "lim-client panicked on a closed stdout" >&2
+    cat "$pipe_err" >&2
+    exit 1
+fi
 # The rtl.* obs counters must surface in server.stats.
 client --method server.stats | grep -q '"rtl.infer.memories"' \
     || { echo "server.stats missing rtl.infer counters" >&2; exit 1; }
