@@ -12,8 +12,8 @@
 //! * [`Banded`] — a banded matrix with an in-place LU factorization
 //!   (no pivoting; the stamped systems are symmetric and diagonally
 //!   dominant, for which elimination without pivoting is stable) and
-//!   in-place triangular solves for one ([`Banded::solve`]) or a panel
-//!   of ([`Banded::solve_many`]) right-hand sides;
+//!   in-place triangular solves for a panel of right-hand sides
+//!   ([`Banded::solve_many`]);
 //! * [`Panel`] — a row-major block of right-hand-side columns, laid out
 //!   so a substitution sweep touches each row's columns contiguously.
 //!
@@ -248,19 +248,13 @@ impl Banded {
         Ok(())
     }
 
-    /// Solves `A x = b` in place given a prior [`Banded::factor`].
-    pub fn solve(&self, b: &mut [f64]) {
-        debug_assert_eq!(b.len(), self.n);
-        self.solve_columns(b, 1);
-    }
-
     /// Solves `A X = B` in place for every column of `panel`, given a
     /// prior [`Banded::factor`].
     ///
     /// Each column's arithmetic is independent and executes in the same
-    /// order as a lone [`Banded::solve`], so a panel column is
-    /// bit-identical to solving that right-hand side by itself — the
-    /// property the batched transient path relies on.
+    /// order as a one-column panel, so a panel column is bit-identical to
+    /// solving that right-hand side by itself — the property the batched
+    /// transient path relies on.
     ///
     /// # Panics
     ///
@@ -318,9 +312,9 @@ impl Banded {
 /// unknowns, stored row-major (`data[row * cols + col]`) so banded
 /// substitution sweeps touch each row's columns contiguously.
 ///
-/// Columns can be appended and swap-removed, which is how the batched
-/// transient solver migrates a run between factorization classes when
-/// its switch state diverges from its panel-mates.
+/// Columns can be appended and copied out, which is how the batched
+/// transient solver gathers the runs sharing one factorization class
+/// into a sub-panel.
 #[derive(Debug, Clone)]
 pub struct Panel {
     rows: usize,
@@ -373,12 +367,6 @@ impl Panel {
         &mut self.data
     }
 
-    /// One row of the panel (all columns, contiguous).
-    #[inline]
-    pub fn row(&self, row: usize) -> &[f64] {
-        &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
     /// Appends a column, returning its index.
     ///
     /// # Panics
@@ -409,32 +397,21 @@ impl Panel {
             *slot = self.data[r * self.cols + col];
         }
     }
-
-    /// Removes column `col` by swapping the last column into its place
-    /// (mirrors `Vec::swap_remove`). Returns the index of the column
-    /// that moved into `col`'s slot, if any.
-    pub fn swap_remove_col(&mut self, col: usize) -> Option<usize> {
-        let old = self.cols;
-        debug_assert!(col < old);
-        let last = old - 1;
-        if col != last {
-            for r in 0..self.rows {
-                self.data.swap(r * old + col, r * old + last);
-            }
-        }
-        let mut data = Vec::with_capacity(self.rows * last);
-        for r in 0..self.rows {
-            data.extend_from_slice(&self.data[r * old..r * old + last]);
-        }
-        self.data = data;
-        self.cols = last;
-        (col != last).then_some(last)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Banded {
+        /// Solves `A x = b` in place given a prior [`Banded::factor`] —
+        /// the one-right-hand-side reference `solve_many` is checked
+        /// against.
+        fn solve(&self, b: &mut [f64]) {
+            debug_assert_eq!(b.len(), self.n);
+            self.solve_columns(b, 1);
+        }
+    }
 
     #[test]
     fn rcm_compresses_a_chain_with_appended_driver() {
@@ -627,24 +604,17 @@ mod tests {
     }
 
     #[test]
-    fn panel_push_and_swap_remove_preserve_columns() {
+    fn panel_push_and_copy_preserve_columns() {
         let mut p = Panel::new(3);
         p.push_col(&[1.0, 2.0, 3.0]);
         p.push_col(&[4.0, 5.0, 6.0]);
         p.push_col(&[7.0, 8.0, 9.0]);
         assert_eq!(p.cols(), 3);
-        assert_eq!(p.row(1), &[2.0, 5.0, 8.0]);
-        // Removing the first column swaps the last into its slot.
-        assert_eq!(p.swap_remove_col(0), Some(2));
-        assert_eq!(p.cols(), 2);
         let mut col = [0.0; 3];
         p.copy_col(0, &mut col);
+        assert_eq!(col, [1.0, 2.0, 3.0]);
+        p.copy_col(2, &mut col);
         assert_eq!(col, [7.0, 8.0, 9.0]);
-        p.copy_col(1, &mut col);
-        assert_eq!(col, [4.0, 5.0, 6.0]);
-        // Removing the last column moves nothing.
-        assert_eq!(p.swap_remove_col(1), None);
-        assert_eq!(p.cols(), 1);
     }
 
     #[test]

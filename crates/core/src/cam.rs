@@ -10,7 +10,7 @@
 
 use crate::error::LimError;
 use lim_brick::{BitcellKind, BrickLibrary, BrickSpec};
-use lim_rtl::generators::or_tree;
+use lim_rtl::generators::{or_tree, register_bus, BankPins};
 use lim_rtl::{NetId, Netlist, StdCellKind};
 use lim_tech::Technology;
 
@@ -173,11 +173,7 @@ pub fn generate_cam_block(
         .collect();
 
     // Search register: the key is launched into the CAM on the clock.
-    let search_q: Vec<NetId> = search
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| n.add_dff(s, 1.0, format!("search_q[{i}]")))
-        .collect();
+    let search_q = register_bus(&mut n, &search, |i| format!("search_q[{i}]"));
 
     // CAM macro: match lines out.
     let mut macro_inputs = vec![clk, en];
@@ -273,32 +269,16 @@ fn mac_lane(
         }
         // Register the carry-save state between rows.
         if j + 1 < bits {
-            s = s_new
-                .iter()
-                .enumerate()
-                .map(|(w, &x)| n.add_dff(x, 1.0, format!("{label}_sq{j}_{w}")))
-                .collect();
-            c = c_new
-                .iter()
-                .enumerate()
-                .map(|(w, &x)| n.add_dff(x, 1.0, format!("{label}_cq{j}_{w}")))
-                .collect();
+            s = register_bus(n, &s_new, |w| format!("{label}_sq{j}_{w}"));
+            c = register_bus(n, &c_new, |w| format!("{label}_cq{j}_{w}"));
         } else {
             s = s_new;
             c = c_new;
         }
     }
     // Final vector merge: ripple-add the registered sum and carry vectors.
-    let s_q: Vec<NetId> = s
-        .iter()
-        .enumerate()
-        .map(|(w, &x)| n.add_dff(x, 1.0, format!("{label}_msq{w}")))
-        .collect();
-    let c_q: Vec<NetId> = c
-        .iter()
-        .enumerate()
-        .map(|(w, &x)| n.add_dff(x, 1.0, format!("{label}_mcq{w}")))
-        .collect();
+    let s_q = register_bus(n, &s, |w| format!("{label}_msq{w}"));
+    let c_q = register_bus(n, &c, |w| format!("{label}_mcq{w}"));
     let mut carry = zero;
     let mut merged = Vec::with_capacity(bits);
     for w in 0..bits {
@@ -357,30 +337,14 @@ pub fn generate_lim_spgemm_core(
     let mut v_inputs = vec![clk];
     let en_all = n.add_tie(true, "en_all");
     v_inputs.push(en_all);
-    let col_q: Vec<NetId> = col_key
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| n.add_dff(c, 1.0, format!("col_q[{i}]")))
-        .collect();
+    let col_q = register_bus(&mut n, &col_key, |i| format!("col_q[{i}]"));
     v_inputs.extend(&col_q);
     let col_hot = n.add_macro("u_vcam", vcam_name, &v_inputs, config.n_columns, "col_hot");
 
     // Registered operands shared by all lanes.
-    let a_q: Vec<NetId> = a_val
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| n.add_dff(v, 1.0, format!("a_q[{i}]")))
-        .collect();
-    let b_q: Vec<NetId> = b_val
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| n.add_dff(v, 1.0, format!("b_q[{i}]")))
-        .collect();
-    let key_q: Vec<NetId> = key
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| n.add_dff(v, 1.0, format!("key_q[{i}]")))
-        .collect();
+    let a_q = register_bus(&mut n, &a_val, |i| format!("a_q[{i}]"));
+    let b_q = register_bus(&mut n, &b_val, |i| format!("b_q[{i}]"));
+    let key_q = register_bus(&mut n, &key, |i| format!("key_q[{i}]"));
 
     for (c, &hot) in col_hot.iter().enumerate().take(config.n_columns) {
         // Horizontal CAM keyed by row index, enabled by the vertical hit.
@@ -397,14 +361,17 @@ pub fn generate_lim_spgemm_core(
         let (grants, hit) = priority_decode(&mut n, &mls, &format!("c{c}"))?;
 
         // Scratch-pad SRAM addressed by the decoded match.
-        let mut s_inputs = vec![clk, hit];
-        s_inputs.extend(&grants);
-        s_inputs.extend(&grants); // write side follows the same select
-        s_inputs.extend(&a_q[..config.cam.data_bits.min(a_q.len())]);
-        let stored = n.add_macro(
+        let pad = BankPins {
+            clk,
+            en: hit,
+            rdwl: grants.clone(),
+            wdwl: grants, // write side follows the same select
+            wbl: a_q[..config.cam.data_bits.min(a_q.len())].to_vec(),
+        };
+        let stored = pad.instantiate(
+            &mut n,
             format!("u_pad{c}"),
             sram_name.clone(),
-            &s_inputs,
             config.cam.data_bits,
             &format!("pad{c}"),
         );
@@ -464,23 +431,14 @@ pub fn generate_heap_spgemm_core(
     let b_val: Vec<NetId> = (0..config.cam.data_bits)
         .map(|i| n.add_input(format!("b_val[{i}]")))
         .collect();
-    let a_q: Vec<NetId> = a_val
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| n.add_dff(v, 1.0, format!("a_q[{i}]")))
-        .collect();
-    let b_q: Vec<NetId> = b_val
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| n.add_dff(v, 1.0, format!("b_q[{i}]")))
-        .collect();
+    let a_q = register_bus(&mut n, &a_val, |i| format!("a_q[{i}]"));
+    let b_q = register_bus(&mut n, &b_val, |i| format!("b_q[{i}]"));
 
     // One FIFO way per column: SRAM brick + head register + shift-enable
     // FSM bit; heads feed a comparator tree that picks the minimum key.
     let mut head_keys: Vec<Vec<NetId>> = Vec::with_capacity(config.n_columns);
     for w in 0..config.n_columns {
         let en = n.add_input(format!("way_en[{w}]"));
-        let mut s_inputs = vec![clk, en];
         // Head pointer: small ring of DFFs (sequencer-style).
         let mut ptr = Vec::with_capacity(config.cam.entries);
         let mut prev: Option<NetId> = None;
@@ -490,13 +448,17 @@ pub fn generate_heap_spgemm_core(
             ptr.push(q);
             prev = Some(q);
         }
-        s_inputs.extend(&ptr);
-        s_inputs.extend(&ptr);
-        s_inputs.extend(&a_q[..config.cam.data_bits.min(a_q.len())]);
-        let head = n.add_macro(
+        let fifo = BankPins {
+            clk,
+            en,
+            rdwl: ptr.clone(),
+            wdwl: ptr,
+            wbl: a_q[..config.cam.data_bits.min(a_q.len())].to_vec(),
+        };
+        let head = fifo.instantiate(
+            &mut n,
             format!("u_fifo{w}"),
             sram_name.clone(),
-            &s_inputs,
             key_bits,
             &format!("head{w}"),
         );
@@ -562,11 +524,7 @@ pub fn generate_heap_spgemm_core(
     // registered before the accumulate (another pipeline cut the
     // latency-tolerant baseline affords).
     let prod_raw = mac_lane(&mut n, &a_q, &b_q, "mac")?;
-    let prod: Vec<NetId> = prod_raw
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| n.add_dff(p, 1.0, format!("prod_q[{i}]")))
-        .collect();
+    let prod = register_bus(&mut n, &prod_raw, |i| format!("prod_q[{i}]"));
     let mut carry = n.add_tie(false, "acc_cin");
     for i in 0..config.cam.data_bits {
         let s = n.add_gate(

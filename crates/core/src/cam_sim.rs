@@ -96,10 +96,7 @@ impl<'n> CamTestbench<'n> {
         self.sim.step(&inputs)?;
         // The CAM behavioural model: compare the registered key against
         // storage and drive the match lines.
-        let mut registered = 0u64;
-        for (b, &net) in self.search_q.iter().enumerate() {
-            registered |= (self.sim.value(net) as u64) << b;
-        }
+        let registered = self.sim.word(&self.search_q);
         for (entry, &ml) in self.match_lines.iter().enumerate() {
             let is_match = self.keys[entry] == Some(registered);
             self.sim.force_net(ml, is_match);

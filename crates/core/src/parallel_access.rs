@@ -16,15 +16,16 @@
 //!   of `m·n` times.
 //!
 //! Both generators target identical brick macros; the difference is
-//! exactly the synthesized periphery, which is what the flow lets you
-//! customize. The conventional variant is additionally floorplanned as a
-//! conventional (non-pattern-construct) design, paying guard spacing at
-//! every memory/logic boundary.
+//! exactly the synthesized periphery (built from the shared decode
+//! helpers and `BankPins` layout of `lim_rtl::generators`), which is
+//! what the flow lets you customize. The conventional variant is
+//! additionally floorplanned as a conventional (non-pattern-construct)
+//! design, paying guard spacing at every memory/logic boundary.
 
 use crate::error::LimError;
 use crate::flow::{LimBlock, LimFlow};
 use lim_brick::{BitcellKind, BrickLibrary, BrickSpec};
-use lim_rtl::generators::and_tree;
+use lim_rtl::generators::{burst_lines, complement_rails, one_hot, BankPins};
 use lim_rtl::{NetId, Netlist, StdCellKind};
 use lim_tech::Technology;
 
@@ -138,76 +139,18 @@ fn ensure_bank_entry(
     Ok(name)
 }
 
-/// Shared-decode one-hot of `addr` over `words` outputs, with an
-/// "adjacent activation" OR stage (`out[w] = dec[w] | dec[w−1]`) — the
-/// paper's customized decoder that serves a window straddling two rows.
-fn burst_decoder(
-    n: &mut Netlist,
-    addr: &[NetId],
-    addr_n: &[NetId],
-    words: usize,
-    label: &str,
-) -> Result<Vec<NetId>, LimError> {
-    let bits = addr.len();
-    let mut hot = Vec::with_capacity(words);
-    for w in 0..words {
-        let lits: Vec<NetId> = (0..bits)
-            .map(|b| if (w >> b) & 1 == 1 { addr[b] } else { addr_n[b] })
-            .collect();
-        hot.push(and_tree(n, &lits, &format!("{label}_d{w}"))?);
-    }
-    let mut burst = Vec::with_capacity(words);
-    for w in 0..words {
-        if w == 0 {
-            burst.push(n.add_gate(StdCellKind::Buf, 2.0, &[hot[0]], format!("{label}_b0"))?);
-        } else {
-            burst.push(n.add_gate(
-                StdCellKind::Or2,
-                1.0,
-                &[hot[w], hot[w - 1]],
-                format!("{label}_b{w}"),
-            )?);
-        }
-    }
-    Ok(burst)
-}
-
-/// Plain one-hot decoder (per-bank, the conventional structure).
-fn full_decoder(
-    n: &mut Netlist,
-    addr: &[NetId],
-    addr_n: &[NetId],
-    words: usize,
-    label: &str,
-) -> Result<Vec<NetId>, LimError> {
-    let bits = addr.len();
-    (0..words)
-        .map(|w| {
-            let lits: Vec<NetId> = (0..bits)
-                .map(|b| if (w >> b) & 1 == 1 { addr[b] } else { addr_n[b] })
-                .collect();
-            Ok(and_tree(n, &lits, &format!("{label}_d{w}"))?)
-        })
-        .collect()
-}
-
 fn add_inputs(
     n: &mut Netlist,
     cfg: &ParallelAccessConfig,
-) -> (Vec<NetId>, Vec<NetId>) {
+) -> Result<(Vec<NetId>, Vec<NetId>), LimError> {
     let bits = cfg.bank_addr_bits();
     let addr: Vec<NetId> = (0..bits).map(|i| n.add_input(format!("addr[{i}]"))).collect();
-    let addr_n: Vec<NetId> = addr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| {
-            n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("addr_n[{i}]"))
-                .expect("inverter arity")
-        })
-        .collect();
-    (addr, addr_n)
+    let addr_n = complement_rails(n, &addr, "addr")?;
+    Ok((addr, addr_n))
 }
 
+/// Bank `index` on wordlines `dwl`, with its pixel outputs buffered out
+/// as `pix{index}[..]`.
 fn instantiate_bank(
     n: &mut Netlist,
     clk: NetId,
@@ -216,23 +159,25 @@ fn instantiate_bank(
     pixel_bits: usize,
     entry: &str,
     index: usize,
-) -> Vec<NetId> {
-    let mut inputs = vec![clk, en];
-    inputs.extend(dwl);
-    inputs.extend(dwl); // write port mirrors the read port structurally
+) -> Result<(), LimError> {
     // Write data tied off: this memory is read-dominated (image loaded
     // once per frame).
-    let zeros: Vec<NetId> = (0..pixel_bits)
+    let wbl = (0..pixel_bits)
         .map(|b| n.add_tie(false, format!("wd{index}_{b}")))
         .collect();
-    inputs.extend(&zeros);
-    n.add_macro(
-        format!("u_bank{index}"),
-        entry,
-        &inputs,
-        pixel_bits,
-        &format!("q{index}"),
-    )
+    let bank = BankPins {
+        clk,
+        en,
+        rdwl: dwl.to_vec(),
+        wdwl: dwl.to_vec(), // write port mirrors the read port structurally
+        wbl,
+    };
+    let outs = bank.instantiate(n, format!("u_bank{index}"), entry, pixel_bits, &format!("q{index}"));
+    for (b, &o) in outs.iter().enumerate() {
+        let q = n.add_gate(StdCellKind::Buf, 2.0, &[o], format!("pix{index}[{b}]"))?;
+        n.mark_output(q);
+    }
+    Ok(())
 }
 
 /// Generates the LiM parallel-access memory: shared burst row decoders
@@ -255,24 +200,18 @@ pub fn generate_lim(
     ));
     let clk = n.add_clock("clk");
     let en = n.add_input("en");
-    let (addr, addr_n) = add_inputs(&mut n, cfg);
+    let (addr, addr_n) = add_inputs(&mut n, cfg)?;
 
-    // One shared burst decoder per bank row; its wordlines fan out to all
+    // One shared burst decoder per bank row — a one-hot decode with an
+    // "adjacent activation" stage, the paper's customized decoder that
+    // serves a window straddling two rows; its wordlines fan out to all
     // n banks of the group.
     for row in 0..cfg.window_rows {
-        let dwl = burst_decoder(&mut n, &addr, &addr_n, cfg.words_per_bank(), &format!("r{row}"))?;
+        let hot = one_hot(&mut n, &addr, &addr_n, cfg.words_per_bank(), &format!("r{row}_d"))?;
+        let dwl = burst_lines(&mut n, &hot, &format!("r{row}_b"))?;
         for col in 0..cfg.window_cols {
             let index = row * cfg.window_cols + col;
-            let outs = instantiate_bank(&mut n, clk, en, &dwl, cfg.pixel_bits, &entry, index);
-            for (b, &o) in outs.iter().enumerate() {
-                let q = n.add_gate(
-                    StdCellKind::Buf,
-                    2.0,
-                    &[o],
-                    format!("pix{index}[{b}]"),
-                )?;
-                n.mark_output(q);
-            }
+            instantiate_bank(&mut n, clk, en, &dwl, cfg.pixel_bits, &entry, index)?;
         }
     }
     n.validate()?;
@@ -298,12 +237,12 @@ pub fn generate_conventional(
     ));
     let clk = n.add_clock("clk");
     let en = n.add_input("en");
-    let (addr, addr_n) = add_inputs(&mut n, cfg);
+    let (addr, addr_n) = add_inputs(&mut n, cfg)?;
 
     for index in 0..cfg.banks() {
-        // Private decoder per bank — the duplicated logic the smart
-        // memory eliminates.
-        let dwl = full_decoder(&mut n, &addr, &addr_n, cfg.words_per_bank(), &format!("b{index}"))?;
+        // Private one-hot decoder per bank — the duplicated logic the
+        // smart memory eliminates.
+        let dwl = one_hot(&mut n, &addr, &addr_n, cfg.words_per_bank(), &format!("b{index}_d"))?;
         let gated: Vec<NetId> = dwl
             .iter()
             .enumerate()
@@ -311,11 +250,7 @@ pub fn generate_conventional(
                 n.add_gate(StdCellKind::And2, 1.0, &[d, en], format!("b{index}_g{w}"))
             })
             .collect::<Result<_, _>>()?;
-        let outs = instantiate_bank(&mut n, clk, en, &gated, cfg.pixel_bits, &entry, index);
-        for (b, &o) in outs.iter().enumerate() {
-            let q = n.add_gate(StdCellKind::Buf, 2.0, &[o], format!("pix{index}[{b}]"))?;
-            n.mark_output(q);
-        }
+        instantiate_bank(&mut n, clk, en, &gated, cfg.pixel_bits, &entry, index)?;
     }
     n.validate()?;
     Ok(n)

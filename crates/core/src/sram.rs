@@ -3,7 +3,10 @@
 //! An SRAM is assembled from stacked memory bricks plus synthesized
 //! standard-cell periphery: per-partition read/write decoders gated by
 //! bank enables, and a registered output mux across partitions. The
-//! paper's test-chip configurations map directly:
+//! decoders (complement rails, shared ≤3-bit predecode) and the bank
+//! macro pin layout come from the shared brick-periphery builder in
+//! `lim_rtl::generators`. The paper's test-chip configurations map
+//! directly:
 //!
 //! | Config | words x bits | partitions | brick | stack |
 //! |---|---|---|---|---|
@@ -15,7 +18,10 @@
 
 use crate::error::LimError;
 use lim_brick::{BitcellKind, BrickLibrary, BrickSpec};
-use lim_rtl::generators::and_tree;
+use lim_rtl::generators::{
+    and_tree, complement_rails, literals, predecode, predecoded_lines, reduce_pairs, register_bus,
+    BankPins,
+};
 use lim_rtl::{NetId, Netlist, StdCellKind};
 use lim_tech::Technology;
 use std::fmt;
@@ -214,90 +220,32 @@ pub fn generate(
         .map(|i| n.add_input(format!("din[{i}]")))
         .collect();
 
-    // Complement rails.
-    let raddr_n: Vec<NetId> = raddr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("raddr_n[{i}]")))
-        .collect::<Result<_, _>>()?;
-    let waddr_n: Vec<NetId> = waddr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("waddr_n[{i}]")))
-        .collect::<Result<_, _>>()?;
+    let raddr_n = complement_rails(&mut n, &raddr, "raddr")?;
+    let waddr_n = complement_rails(&mut n, &waddr, "waddr")?;
 
     let local_bits = addr_bits - config.bank_bits();
     let wpp = config.words_per_partition();
 
-    // Shared predecode of the local address bits in groups of up to three,
-    // built once per port and reused by every bank — the structure real
-    // SRAM decoders use, and what keeps the single-bank configuration's
+    // Shared predecode of the local address bits, built once per port and
+    // reused by every bank — what keeps the single-bank configuration's
     // decoder from dwarfing the partitioned one.
-    let predecode = |n: &mut Netlist,
-                     addr: &[NetId],
-                     addr_n: &[NetId],
-                     label: &str|
-     -> Result<Vec<Vec<NetId>>, LimError> {
-        let mut groups = Vec::new();
-        let mut base = 0usize;
-        while base < local_bits {
-            let k = (local_bits - base).min(3);
-            let mut lines = Vec::with_capacity(1 << k);
-            for v in 0..(1usize << k) {
-                let lits: Vec<NetId> = (0..k)
-                    .map(|b| {
-                        if (v >> b) & 1 == 1 {
-                            addr[base + b]
-                        } else {
-                            addr_n[base + b]
-                        }
-                    })
-                    .collect();
-                lines.push(and_tree(n, &lits, &format!("{label}_g{base}_{v}"))?);
-            }
-            groups.push(lines);
-            base += k;
-        }
-        Ok(groups)
-    };
-    let r_groups = predecode(&mut n, &raddr, &raddr_n, "rpd")?;
-    let w_groups = predecode(&mut n, &waddr, &waddr_n, "wpd")?;
-    let group_lines = |groups: &[Vec<NetId>], w: usize| -> Vec<NetId> {
-        let mut lines = Vec::with_capacity(groups.len());
-        let mut base = 0usize;
-        for g in groups {
-            let k = g.len().trailing_zeros() as usize;
-            lines.push(g[(w >> base) & ((1 << k) - 1)]);
-            base += k;
-        }
-        lines
-    };
+    let r_groups = predecode(&mut n, &raddr[..local_bits], &raddr_n[..local_bits], "rpd")?;
+    let w_groups = predecode(&mut n, &waddr[..local_bits], &waddr_n[..local_bits], "wpd")?;
 
     let mut bank_outputs: Vec<Vec<NetId>> = Vec::with_capacity(config.partitions());
     for p in 0..config.partitions() {
         // Bank enable from the high address bits.
-        let bank_lit = |addr: &[NetId], addr_inv: &[NetId], n2: &mut Netlist| -> Result<NetId, LimError> {
-            if config.bank_bits() == 0 {
-                return Ok(n2.add_tie(true, format!("bank{p}_always")));
-            }
-            let lits: Vec<NetId> = (0..config.bank_bits())
-                .map(|b| {
-                    if (p >> b) & 1 == 1 {
-                        addr[local_bits + b]
-                    } else {
-                        addr_inv[local_bits + b]
-                    }
-                })
-                .collect();
-            Ok(and_tree(n2, &lits, &format!("bank{p}"))?)
+        let bank_lit = |n: &mut Netlist, addr: &[NetId], addr_n: &[NetId]| {
+            let lits = literals(&addr[local_bits..], &addr_n[local_bits..], p);
+            and_tree(n, &lits, &format!("bank{p}"))
         };
         let (r_en, w_en) = if config.bank_bits() == 0 {
             // Single bank: reads are unconditional, writes gate on `we`
             // alone (no tie-AND for the optimizer to chew on).
             (None, we)
         } else {
-            let r_en = bank_lit(&raddr, &raddr_n, &mut n)?;
-            let w_en_bank = bank_lit(&waddr, &waddr_n, &mut n)?;
+            let r_en = bank_lit(&mut n, &raddr, &raddr_n)?;
+            let w_en_bank = bank_lit(&mut n, &waddr, &waddr_n)?;
             let w_en = n.add_gate(
                 StdCellKind::And2,
                 1.0,
@@ -312,41 +260,37 @@ pub fn generate(
         let mut rdwl = Vec::with_capacity(wpp);
         let mut wdwl = Vec::with_capacity(wpp);
         for w in 0..wpp {
-            let mut r_ins = group_lines(&r_groups, w);
-            if let Some(r_en) = r_en {
-                r_ins.push(r_en);
-            }
+            let mut r_ins = predecoded_lines(&r_groups, w);
+            r_ins.extend(r_en);
             rdwl.push(and_tree(&mut n, &r_ins, &format!("rdwl{p}_{w}"))?);
-            let mut w_ins = group_lines(&w_groups, w);
+            let mut w_ins = predecoded_lines(&w_groups, w);
             w_ins.push(w_en);
             wdwl.push(and_tree(&mut n, &w_ins, &format!("wdwl{p}_{w}"))?);
         }
 
         // Per-bank write-data drivers: every bank's write bitlines need
         // their own driver column.
-        let bank_din: Vec<NetId> = din
+        let wbl: Vec<NetId> = din
             .iter()
             .enumerate()
             .map(|(b, &d)| n.add_gate(StdCellKind::Buf, 4.0, &[d], format!("wdrv{p}_{b}")))
             .collect::<Result<_, _>>()?;
 
-        // The bank macro: clk, enable, decoded wordlines, write data.
-        let en_pin = match r_en {
-            Some(e) => e,
-            None => n.add_tie(true, format!("bank{p}_en")),
+        let en = r_en.unwrap_or_else(|| n.add_tie(true, format!("bank{p}_en")));
+        let bank = BankPins {
+            clk,
+            en,
+            rdwl,
+            wdwl,
+            wbl,
         };
-        let mut macro_inputs = vec![clk, en_pin];
-        macro_inputs.extend(&rdwl);
-        macro_inputs.extend(&wdwl);
-        macro_inputs.extend(&bank_din);
-        let outs = n.add_macro(
+        bank_outputs.push(bank.instantiate(
+            &mut n,
             format!("u_bank{p}"),
             entry_name.clone(),
-            &macro_inputs,
             config.bits(),
             &format!("arbl{p}"),
-        );
-        bank_outputs.push(outs);
+        ));
     }
 
     // Output stage: single partition buffers straight out; multiple
@@ -358,36 +302,23 @@ pub fn generate(
             n.mark_output(out);
         }
     } else {
-        let sel_q: Vec<NetId> = (0..config.bank_bits())
-            .map(|b| n.add_dff(raddr[local_bits + b], 1.0, format!("rsel_q[{b}]")))
-            .collect();
+        let sel_q = register_bus(&mut n, &raddr[local_bits..], |b| format!("rsel_q[{b}]"));
         for b in 0..config.bits() {
             // Per-bank output buffers ahead of the mux column (each bank's
             // ARBL needs its own receiver).
-            let mut layer: Vec<NetId> = bank_outputs
+            let obufs: Vec<NetId> = bank_outputs
                 .iter()
                 .enumerate()
                 .map(|(p, o)| {
                     n.add_gate(StdCellKind::Buf, 2.0, &[o[b]], format!("obuf{p}_{b}"))
                 })
                 .collect::<Result<_, _>>()?;
-            for (level, &sel) in sel_q.iter().enumerate() {
-                let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-                for (i, pair) in layer.chunks(2).enumerate() {
-                    if pair.len() == 2 {
-                        next.push(n.add_gate(
-                            StdCellKind::Mux2,
-                            1.0,
-                            &[pair[0], pair[1], sel],
-                            format!("omux{b}_l{level}_{i}"),
-                        )?);
-                    } else {
-                        next.push(pair[0]);
-                    }
-                }
-                layer = next;
-            }
-            let out = n.add_gate(StdCellKind::Buf, 2.0, &[layer[0]], format!("dout[{b}]"))?;
+            // One mux level per bank-select bit.
+            let muxed = reduce_pairs(&mut n, obufs, |n, level, i, x, y| {
+                let name = format!("omux{b}_l{level}_{i}");
+                n.add_gate(StdCellKind::Mux2, 1.0, &[x, y, sel_q[level]], name)
+            })?;
+            let out = n.add_gate(StdCellKind::Buf, 2.0, &[muxed], format!("dout[{b}]"))?;
             n.mark_output(out);
         }
     }

@@ -2,34 +2,19 @@
 //!
 //! The gate-level simulator of `lim-rtl` evaluates the synthesized
 //! periphery (decoders, bank enables, output mux) but leaves brick macros
-//! to their library models. This module closes the loop: a behavioural
-//! bank model watches each macro's decoded-wordline and write-data pins,
-//! keeps the array contents, and drives the macro's outputs — so a whole
-//! generated SRAM can be exercised with write/read transactions through
-//! the *real* synthesized logic. This is the verification step a
+//! to their library models. This module closes the loop: one
+//! `lim_rtl::BankModel` per bank macro (pin layout
+//! `lim_rtl::generators::BankPins`, the layout `sram::generate`
+//! instantiates) watches the decoded wordlines and write data, keeps the
+//! array contents, and drives the macro's outputs — so a whole generated
+//! SRAM can be exercised with write/read transactions through the *real*
+//! synthesized logic. Reads see pre-edge contents: a same-address read
+//! during a write returns the old word. This is the verification step a
 //! downstream user runs before trusting a generated smart memory.
 
 use crate::error::LimError;
 use crate::sram::SramConfig;
-use lim_rtl::{CellKind, NetId, Netlist, Simulator};
-
-/// One bank macro's behavioural state and pin map.
-#[derive(Debug, Clone)]
-struct BankModel {
-    /// Words stored by this bank.
-    words: Vec<u64>,
-    /// Read decoded-wordline input nets, word order.
-    rdwl: Vec<NetId>,
-    /// Write decoded-wordline input nets.
-    wdwl: Vec<NetId>,
-    /// Write-data input nets (LSB first).
-    wbl: Vec<NetId>,
-    /// Output nets (LSB first).
-    outputs: Vec<NetId>,
-    /// Registered read in flight (value appears after the edge, like the
-    /// clocked brick).
-    pending_read: Option<u64>,
-}
+use lim_rtl::{BankModel, CellKind, Netlist, Simulator};
 
 /// A generated SRAM netlist paired with behavioural banks, ready for
 /// transactions.
@@ -52,32 +37,15 @@ impl<'n> SramTestbench<'n> {
     /// failures.
     pub fn new(config: SramConfig, netlist: &'n Netlist) -> Result<Self, LimError> {
         let sim = Simulator::new(netlist)?;
-        let wpp = config.words_per_partition();
-        let mut banks = Vec::new();
-        for cell in netlist.cells() {
-            if let CellKind::Macro { .. } = &cell.kind {
-                // Pin layout from sram::generate: clk, en, rdwl[wpp],
-                // wdwl[wpp], wbl[bits].
-                let expected = 2 + 2 * wpp + config.bits();
-                if cell.inputs.len() != expected {
-                    return Err(LimError::BadConfig {
-                        reason: format!(
-                            "macro {} has {} pins, expected {expected}",
-                            cell.name,
-                            cell.inputs.len()
-                        ),
-                    });
-                }
-                banks.push(BankModel {
-                    words: vec![0; wpp],
-                    rdwl: cell.inputs[2..2 + wpp].to_vec(),
-                    wdwl: cell.inputs[2 + wpp..2 + 2 * wpp].to_vec(),
-                    wbl: cell.inputs[2 + 2 * wpp..].to_vec(),
-                    outputs: cell.outputs.clone(),
-                    pending_read: None,
-                });
-            }
-        }
+        let banks: Vec<BankModel> = netlist
+            .cells()
+            .iter()
+            .filter(|c| matches!(c.kind, CellKind::Macro { .. }))
+            .map(|c| BankModel::bind(c, config.words_per_partition(), config.bits()))
+            .collect::<Result<_, _>>()
+            .map_err(|e| LimError::BadConfig {
+                reason: e.to_string(),
+            })?;
         if banks.len() != config.partitions() {
             return Err(LimError::BadConfig {
                 reason: format!(
@@ -96,19 +64,13 @@ impl<'n> SramTestbench<'n> {
     }
 
     fn input_vector(&self, raddr: usize, waddr: usize, we: bool, din: u64) -> Vec<bool> {
+        let bits = |x: u64, width: usize| (0..width).map(move |b| (x >> b) & 1 == 1);
         let ab = self.config.addr_bits();
-        let mut v = Vec::with_capacity(2 * ab + 1 + self.config.bits());
-        for b in 0..ab {
-            v.push((raddr >> b) & 1 == 1);
-        }
-        for b in 0..ab {
-            v.push((waddr >> b) & 1 == 1);
-        }
-        v.push(we);
-        for b in 0..self.config.bits() {
-            v.push((din >> b) & 1 == 1);
-        }
-        v
+        bits(raddr as u64, ab)
+            .chain(bits(waddr as u64, ab))
+            .chain([we])
+            .chain(bits(din, self.config.bits()))
+            .collect()
     }
 
     /// Runs one clock cycle: optionally writing `din` to `waddr` while
@@ -130,46 +92,15 @@ impl<'n> SramTestbench<'n> {
         // data at each macro reflect this cycle's address.
         self.sim.eval(&inputs)?;
 
-        // Behavioural bank edge: capture writes and launch reads.
+        // Behavioural bank edge: launch reads, capture writes, drive the
+        // macro outputs; then clock the synthesized logic (output mux
+        // select registers etc.).
         for bank in &mut self.banks {
-            let mut write_word: Option<usize> = None;
-            for (w, &net) in bank.wdwl.iter().enumerate() {
-                if self.sim.value(net) {
-                    write_word = Some(w);
-                }
-            }
-            if let Some(w) = write_word {
-                let mut data = 0u64;
-                for (b, &net) in bank.wbl.iter().enumerate() {
-                    data |= (self.sim.value(net) as u64) << b;
-                }
-                bank.words[w] = data;
-            }
-            let mut read_word: Option<usize> = None;
-            for (w, &net) in bank.rdwl.iter().enumerate() {
-                if self.sim.value(net) {
-                    read_word = Some(w);
-                }
-            }
-            bank.pending_read = read_word.map(|w| bank.words[w]);
-        }
-
-        // Drive macro outputs with the launched read data, then clock the
-        // synthesized logic (output mux select registers etc.).
-        for bank in &self.banks {
-            let data = bank.pending_read.unwrap_or(0);
-            for (b, &net) in bank.outputs.iter().enumerate() {
-                self.sim.force_net(net, (data >> b) & 1 == 1);
-            }
+            bank.clock(&mut self.sim);
         }
         self.sim.step(&inputs)?;
 
-        // Observe dout.
-        let mut dout = 0u64;
-        for (b, &net) in self.netlist.primary_outputs().iter().enumerate() {
-            dout |= (self.sim.value(net) as u64) << b;
-        }
-        Ok(dout)
+        Ok(self.sim.word(self.netlist.primary_outputs()))
     }
 
     /// Convenience: write `din` to `addr` (read side parked at 0).
@@ -262,6 +193,17 @@ mod tests {
         let got = tb.cycle(9, 0, false, 0).unwrap();
         assert_eq!(got, 0x155);
         assert_eq!(tb.read(10).unwrap(), 0x2bb);
+    }
+
+    #[test]
+    fn same_address_read_during_write_returns_old_word() {
+        let (cfg, n) = bench_for(32, 1);
+        let mut tb = SramTestbench::new(cfg, &n).unwrap();
+        tb.write(9, 0x155).unwrap();
+        // Read 9 while overwriting it: the read sees the pre-edge word,
+        // the same non-blocking ordering the smart-memory testbench uses.
+        assert_eq!(tb.cycle(9, 9, true, 0x2bb).unwrap(), 0x155);
+        assert_eq!(tb.read(9).unwrap(), 0x2bb);
     }
 
     #[test]

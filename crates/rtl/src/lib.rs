@@ -14,13 +14,15 @@
 //! * [`generators`] — parameterized netlist generators for the blocks the
 //!   paper's flow synthesizes around bricks: decoders with predecoding,
 //!   mux trees, comparators, priority encoders, adders, array multipliers
-//!   and sequencers.
+//!   and sequencers, plus the shared brick periphery (address decode
+//!   helpers and the SRAM-brick pin layout [`generators::BankPins`]).
 //! * [`mapping`] — netlist cleanup passes (constant propagation, dead-gate
 //!   sweep, fanout buffering), the equivalent of the paper's Design
 //!   Compiler step.
 //! * [`sim`] — an event-driven two-value gate simulator with DFF support,
 //!   producing per-net switching activity (the SAIF file of the paper's
-//!   flow) for power analysis.
+//!   flow) for power analysis, and [`BankModel`], the behavioural SRAM
+//!   bank the co-simulation testbenches bind to brick macros.
 //! * [`verilog`] — structural Verilog emission.
 //!
 //! The memory-inference frontend turns *behavioral* Verilog into the
@@ -74,6 +76,6 @@ pub use error::RtlError;
 pub use infer::{Inference, InferredMemory, RejectKind, Rejection};
 pub use ir::{CellId, CellKind, NetId, Netlist};
 pub use parse::{parse, ParseError};
-pub use sim::{Simulator, SwitchingActivity};
+pub use sim::{BankModel, Simulator, SwitchingActivity};
 pub use smartmem::{MemLowering, SmartMemTestbench};
 pub use stdcell::StdCellKind;

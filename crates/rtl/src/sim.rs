@@ -10,9 +10,11 @@
 //! Brick macros are not simulated at the gate level (their behaviour lives
 //! in the brick library); their output nets can be forced with
 //! [`force_net`](Simulator::force_net) when a testbench needs them.
+//! [`BankModel`] is that behaviour for SRAM-brick bank macros.
 
 use crate::error::RtlError;
-use crate::ir::{CellId, CellKind, NetId, Netlist};
+use crate::generators::BankPins;
+use crate::ir::{Cell, CellId, CellKind, NetId, Netlist};
 use crate::stdcell::StdCellKind;
 
 /// Per-net toggle statistics accumulated over a simulation.
@@ -101,6 +103,13 @@ impl<'n> Simulator<'n> {
     /// Current value of a net.
     pub fn value(&self, net: NetId) -> bool {
         self.values[net.index()]
+    }
+
+    /// Current value of a bus, `nets` LSB first (at most 64 bits).
+    pub fn word(&self, nets: &[NetId]) -> u64 {
+        nets.iter()
+            .enumerate()
+            .fold(0, |w, (b, &net)| w | (self.value(net) as u64) << b)
     }
 
     fn non_clock_inputs(&self) -> Vec<NetId> {
@@ -227,6 +236,52 @@ impl<'n> Simulator<'n> {
         SwitchingActivity {
             toggles: self.toggles.clone(),
             cycles: self.cycles,
+        }
+    }
+}
+
+/// Behavioural model of one SRAM-brick bank macro (pin layout
+/// [`BankPins`]) for co-simulation of the synthesized periphery around
+/// it: keeps the array contents, watches the decoded wordlines and write
+/// bitlines, and drives the macro outputs.
+#[derive(Debug, Clone)]
+pub struct BankModel {
+    pins: BankPins,
+    /// Macro output nets, LSB first.
+    outputs: Vec<NetId>,
+    /// Stored words.
+    words: Vec<u64>,
+}
+
+impl BankModel {
+    /// Binds an all-zero `words`-word, `bits`-bit bank to macro `cell`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::BadGeneratorParams`] when the cell's pin count
+    /// does not match the bank layout.
+    pub fn bind(cell: &Cell, words: usize, bits: usize) -> Result<Self, RtlError> {
+        Ok(BankModel {
+            pins: BankPins::from_cell(cell, words, bits)?,
+            outputs: cell.outputs.clone(),
+            words: vec![0; words],
+        })
+    }
+
+    /// One clock edge against the settled pin values in `sim`: launches
+    /// the read from the pre-edge contents, then captures the write
+    /// (non-blocking-assignment ordering, so a same-address read during a
+    /// write returns the old word), and forces the launched word onto the
+    /// macro outputs (0 when no read wordline is hot). When several
+    /// wordlines are hot, the highest word wins.
+    pub fn clock(&mut self, sim: &mut Simulator<'_>) {
+        let hot = |lines: &[NetId]| lines.iter().rposition(|&net| sim.value(net));
+        let read = hot(&self.pins.rdwl).map_or(0, |w| self.words[w]);
+        if let Some(w) = hot(&self.pins.wdwl) {
+            self.words[w] = sim.word(&self.pins.wbl);
+        }
+        for (b, &net) in self.outputs.iter().enumerate() {
+            sim.force_net(net, (read >> b) & 1 == 1);
         }
     }
 }

@@ -4,18 +4,19 @@
 //! into a flat structural [`Netlist`]: each inferred memory becomes one
 //! brick-macro column per byte-enable lane, fed by a synthesized
 //! address decoder (complement rails → ≤3-bit predecode groups →
-//! per-word wordline AND trees, the same structure
-//! the SRAM generator builds), write-enable gating folded into the
-//! write wordlines, write drivers, and an output buffer stage; plain
+//! per-word wordline AND trees, built by the same
+//! [`crate::generators`] helpers as the SRAM generator), write-enable
+//! gating folded into the write wordlines, write drivers, and an output
+//! buffer stage; the macros take the [`BankPins`] layout. Plain
 //! registered outputs become DFFs and continuous assigns become
 //! buffers. The caller supplies the brick decomposition per memory as a
 //! [`MemLowering`] — this crate stays ignorant of brick libraries and
 //! only records the chosen library entry names on the macros.
 //!
-//! [`SmartMemTestbench`] closes the verification loop: behavioral lane
-//! models watch each macro's decoded wordlines and write data, keep the
-//! array contents, and drive the macro outputs so the lowered design
-//! can be stepped cycle by cycle through the *real* synthesized
+//! [`SmartMemTestbench`] closes the verification loop: one
+//! [`BankModel`] per macro watches the decoded wordlines and write data,
+//! keeps the array contents, and drives the macro outputs so the lowered
+//! design can be stepped cycle by cycle through the *real* synthesized
 //! periphery and compared against [`crate::behav::BehavInterp`].
 //! Reads sample pre-edge array contents (non-blocking-assignment
 //! ordering), so a same-address read/write collision returns the old
@@ -23,10 +24,10 @@
 
 use crate::behav::{BehavModule, Cond, PortDir, Rvalue, Stmt};
 use crate::error::RtlError;
-use crate::generators::and_tree;
+use crate::generators::{and_tree, complement_rails, predecode, predecoded_lines, BankPins};
 use crate::infer::{Inference, WriteEnable};
 use crate::ir::{CellKind, NetId, Netlist};
-use crate::sim::Simulator;
+use crate::sim::{BankModel, Simulator};
 use crate::stdcell::StdCellKind;
 use std::collections::BTreeMap;
 
@@ -59,54 +60,14 @@ fn port_bit(nets: &PortNets, name: &str, bit: usize) -> Result<NetId, RtlError> 
         .ok_or_else(|| bad(format!("no net for `{name}[{bit}]`")))
 }
 
-/// Builds the decoded wordlines for one address port: complement
-/// rails, predecode groups of up to three bits, then one AND tree per
-/// word (plus optional extra gating inputs appended by the caller).
-fn decode_port(
+/// Complement rails and predecode groups for one address port.
+fn predecode_port(
     n: &mut Netlist,
     addr: &[NetId],
-    words: usize,
     label: &str,
 ) -> Result<Vec<Vec<NetId>>, RtlError> {
-    let addr_n: Vec<NetId> = addr
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| n.add_gate(StdCellKind::Inv, 2.0, &[a], format!("{label}_n[{i}]")))
-        .collect::<Result<_, _>>()?;
-    let bits = addr.len();
-    let mut groups: Vec<Vec<NetId>> = Vec::new();
-    let mut base = 0usize;
-    while base < bits {
-        let k = (bits - base).min(3);
-        let mut lines = Vec::with_capacity(1 << k);
-        for v in 0..(1usize << k) {
-            let lits: Vec<NetId> = (0..k)
-                .map(|b| {
-                    if (v >> b) & 1 == 1 {
-                        addr[base + b]
-                    } else {
-                        addr_n[base + b]
-                    }
-                })
-                .collect();
-            lines.push(and_tree(n, &lits, &format!("{label}_g{base}_{v}"))?);
-        }
-        groups.push(lines);
-        base += k;
-    }
-    // Per-word input sets: the matching line from each predecode group.
-    let mut per_word = Vec::with_capacity(words);
-    for w in 0..words {
-        let mut lines = Vec::with_capacity(groups.len());
-        let mut base = 0usize;
-        for g in &groups {
-            let k = g.len().trailing_zeros() as usize;
-            lines.push(g[(w >> base) & ((1 << k) - 1)]);
-            base += k;
-        }
-        per_word.push(lines);
-    }
-    Ok(per_word)
+    let addr_n = complement_rails(n, addr, label)?;
+    predecode(n, addr, &addr_n, label)
 }
 
 /// Lowers `module` to a structural netlist, splicing one brick-macro
@@ -191,12 +152,13 @@ pub fn lower(
             .ok_or_else(|| bad(format!("no nets for write address `{}`", m.write_addr)))?
             .clone();
 
-        let r_lines = decode_port(&mut n, &raddr, m.words, &format!("{}_raddr", m.name))?;
-        let w_lines = decode_port(&mut n, &waddr, m.words, &format!("{}_waddr", m.name))?;
-        let rdwl: Vec<NetId> = r_lines
-            .iter()
-            .enumerate()
-            .map(|(w, lines)| and_tree(&mut n, lines, &format!("{}_rdwl_{w}", m.name)))
+        let r_groups = predecode_port(&mut n, &raddr, &format!("{}_raddr", m.name))?;
+        let w_groups = predecode_port(&mut n, &waddr, &format!("{}_waddr", m.name))?;
+        let rdwl: Vec<NetId> = (0..m.words)
+            .map(|w| {
+                let lines = predecoded_lines(&r_groups, w);
+                and_tree(&mut n, &lines, &format!("{}_rdwl_{w}", m.name))
+            })
             .collect::<Result<_, _>>()?;
 
         let mut dout_nets: Vec<Option<NetId>> = vec![None; m.bits];
@@ -209,14 +171,10 @@ pub fn lower(
                     Some(port_bit(&nets, signal, lane.we_bit)?)
                 }
             };
-            let wdwl: Vec<NetId> = w_lines
-                .iter()
-                .enumerate()
-                .map(|(w, lines)| {
-                    let mut ins = lines.clone();
-                    if let Some(en) = lane_en {
-                        ins.push(en);
-                    }
+            let wdwl: Vec<NetId> = (0..m.words)
+                .map(|w| {
+                    let mut ins = predecoded_lines(&w_groups, w);
+                    ins.extend(lane_en);
                     and_tree(&mut n, &ins, &format!("{}_l{k}_wdwl_{w}", m.name))
                 })
                 .collect::<Result<_, _>>()?;
@@ -232,15 +190,18 @@ pub fn lower(
                     )
                 })
                 .collect::<Result<_, _>>()?;
-            let en_pin = n.add_tie(true, format!("{}_l{k}_en", m.name));
-            let mut macro_inputs = vec![clk, en_pin];
-            macro_inputs.extend(&rdwl);
-            macro_inputs.extend(&wdwl);
-            macro_inputs.extend(&wbl);
-            let outs = n.add_macro(
+            let en = n.add_tie(true, format!("{}_l{k}_en", m.name));
+            let bank = BankPins {
+                clk,
+                en,
+                rdwl: rdwl.clone(),
+                wdwl,
+                wbl,
+            };
+            let outs = bank.instantiate(
+                &mut n,
                 format!("u_{}_l{k}", m.name),
                 plan.entry_names[k].clone(),
-                &macro_inputs,
                 lane.width(),
                 &format!("{}_arbl{k}", m.name),
             );
@@ -359,35 +320,18 @@ pub fn lower(
     Ok(n)
 }
 
-/// Behavioral state of one brick-macro lane.
-#[derive(Debug, Clone)]
-struct LaneModel {
-    /// Lane contents, one entry per word.
-    words: Vec<u64>,
-    /// Read wordline input nets, word order.
-    rdwl: Vec<NetId>,
-    /// Write wordline input nets.
-    wdwl: Vec<NetId>,
-    /// Write-data input nets (lane LSB first).
-    wbl: Vec<NetId>,
-    /// Macro output nets.
-    outputs: Vec<NetId>,
-    /// Registered read launched at the last edge.
-    pending_read: Option<u64>,
-}
-
-/// A lowered smart-memory netlist paired with behavioral lane models,
-/// ready for cycle-by-cycle transactions through the real synthesized
-/// periphery.
+/// A lowered smart-memory netlist paired with one behavioral
+/// [`BankModel`] per lane macro, ready for cycle-by-cycle transactions
+/// through the real synthesized periphery.
 #[derive(Debug)]
 pub struct SmartMemTestbench<'n> {
     sim: Simulator<'n>,
     /// Non-clock input ports (name, width), declaration order — the
     /// layout of the simulator input vector.
     inputs: Vec<(String, usize)>,
-    /// Output ports (name, width, nets), declaration order.
-    outputs: Vec<(String, usize, Vec<NetId>)>,
-    lanes: Vec<LaneModel>,
+    /// Output ports (name, nets), declaration order.
+    outputs: Vec<(String, Vec<NetId>)>,
+    lanes: Vec<BankModel>,
 }
 
 impl<'n> SmartMemTestbench<'n> {
@@ -429,11 +373,7 @@ impl<'n> SmartMemTestbench<'n> {
                     pouts.len()
                 )));
             }
-            outputs.push((
-                p.name.clone(),
-                p.width,
-                pouts[next..next + p.width].to_vec(),
-            ));
+            outputs.push((p.name.clone(), pouts[next..next + p.width].to_vec()));
             next += p.width;
         }
 
@@ -448,21 +388,7 @@ impl<'n> SmartMemTestbench<'n> {
                         c.name == inst && matches!(c.kind, CellKind::Macro { .. })
                     })
                     .ok_or_else(|| bad(format!("macro `{inst}` not found")))?;
-                let expected = 2 + 2 * m.words + lane.width();
-                if cell.inputs.len() != expected {
-                    return Err(bad(format!(
-                        "macro `{inst}` has {} pins, expected {expected}",
-                        cell.inputs.len()
-                    )));
-                }
-                lanes.push(LaneModel {
-                    words: vec![0; m.words],
-                    rdwl: cell.inputs[2..2 + m.words].to_vec(),
-                    wdwl: cell.inputs[2 + m.words..2 + 2 * m.words].to_vec(),
-                    wbl: cell.inputs[2 + 2 * m.words..].to_vec(),
-                    outputs: cell.outputs.clone(),
-                    pending_read: None,
-                });
+                lanes.push(BankModel::bind(cell, m.words, lane.width())?);
             }
         }
         Ok(SmartMemTestbench {
@@ -477,8 +403,9 @@ impl<'n> SmartMemTestbench<'n> {
     /// default to 0) and returns every output port's post-edge value.
     ///
     /// Lane models sample reads from *pre-edge* contents before
-    /// applying the cycle's write — non-blocking-assignment ordering —
-    /// so a same-address read-during-write returns the old word.
+    /// applying the cycle's write ([`BankModel::clock`]) —
+    /// non-blocking-assignment ordering — so a same-address
+    /// read-during-write returns the old word.
     ///
     /// # Errors
     ///
@@ -497,52 +424,17 @@ impl<'n> SmartMemTestbench<'n> {
         // Settle the decoders and write data against this cycle's inputs.
         self.sim.eval(&v)?;
 
+        // Clock the lane models, then the synthesized flops.
         for lane in &mut self.lanes {
-            // Launch the read from pre-edge contents…
-            let read_word = lane
-                .rdwl
-                .iter()
-                .enumerate()
-                .filter(|&(_, &net)| self.sim.value(net))
-                .map(|(w, _)| w)
-                .next_back();
-            lane.pending_read = read_word.map(|w| lane.words[w]);
-            // …then capture the write.
-            let write_word = lane
-                .wdwl
-                .iter()
-                .enumerate()
-                .filter(|&(_, &net)| self.sim.value(net))
-                .map(|(w, _)| w)
-                .next_back();
-            if let Some(w) = write_word {
-                let mut data = 0u64;
-                for (b, &net) in lane.wbl.iter().enumerate() {
-                    data |= (self.sim.value(net) as u64) << b;
-                }
-                lane.words[w] = data;
-            }
-        }
-
-        // Drive macro outputs with the launched data, then clock the
-        // synthesized flops.
-        for lane in &self.lanes {
-            let data = lane.pending_read.unwrap_or(0);
-            for (b, &net) in lane.outputs.iter().enumerate() {
-                self.sim.force_net(net, (data >> b) & 1 == 1);
-            }
+            lane.clock(&mut self.sim);
         }
         self.sim.step(&v)?;
 
-        let mut out = BTreeMap::new();
-        for (name, width, nets) in &self.outputs {
-            let mut x = 0u64;
-            for (b, &net) in nets.iter().enumerate().take(*width) {
-                x |= (self.sim.value(net) as u64) << b;
-            }
-            out.insert(name.clone(), x);
-        }
-        Ok(out)
+        Ok(self
+            .outputs
+            .iter()
+            .map(|(name, nets)| (name.clone(), self.sim.word(nets)))
+            .collect())
     }
 }
 
@@ -608,6 +500,32 @@ endmodule
         assert_eq!(macros.len(), 1);
         assert_eq!(macros[0].name, "u_mem_l0");
         assert_eq!(macros[0].inputs.len(), 2 + 2 * 16 + 8);
+
+        // A read register named like the macro outputs (`mem_arbl0`)
+        // gives macro outputs and output buffers the same net names; the
+        // emitted Verilog must still declare each identifier once and
+        // never wire a gate's output back onto its own input.
+        let clash = SRC.replace("dout", "mem_arbl0");
+        let (n, _, _) = lowered(&clash, &[("mem", 8, &["brick_8t_8_8_x2"])]);
+        let v = crate::verilog::emit(&n);
+        let mut declared = std::collections::HashSet::new();
+        for line in v.lines().map(str::trim) {
+            let decl = ["input  wire ", "output wire ", "wire "]
+                .iter()
+                .find_map(|p| line.strip_prefix(p));
+            if let Some(name) = decl {
+                let name = name.trim_end_matches([',', ';']);
+                let fresh = declared.insert(name.to_owned());
+                assert!(fresh, "`{name}` declared twice:\n{v}");
+            }
+            let kind = line.split_whitespace().next().unwrap_or("");
+            let is_gate = kind.contains("_X");
+            if let (true, Some(open)) = (is_gate, line.find('(')) {
+                let pins: Vec<&str> = line[open + 1..line.len() - 2].split(", ").collect();
+                let (out, ins) = pins.split_last().unwrap();
+                assert!(!ins.contains(out), "gate drives its own input: {line}");
+            }
+        }
     }
 
     #[test]

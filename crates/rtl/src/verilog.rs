@@ -5,7 +5,7 @@
 //! be inspected or shipped to an external flow.
 
 use crate::ir::{CellKind, NetId, Netlist};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Sanitizes a net name into a Verilog identifier (`[`/`]` → `_`).
 fn ident(name: &str) -> String {
@@ -14,113 +14,84 @@ fn ident(name: &str) -> String {
         .collect()
 }
 
-/// One emission's identifier namespace: sanitization alone maps
-/// distinct source names (`a[0]`, `a_0_`) onto the same identifier, so
-/// each original name is assigned once and later colliders pick up a
-/// uniquifying `_2`, `_3`, … suffix. First-come keeps the plain
-/// sanitized form, so collision-free netlists emit unchanged.
+/// One emission's identifier namespace. Sanitization maps distinct
+/// source names (`a[0]`, `a_0_`) onto the same identifier, and a
+/// netlist may repeat a name outright, so each net or cell takes one
+/// identifier and later colliders pick up a uniquifying `_2`, `_3`, …
+/// suffix. First-come keeps the plain sanitized form, so collision-free
+/// netlists emit unchanged.
 #[derive(Debug, Default)]
 struct NameTable {
-    assigned: HashMap<String, String>,
     used: HashSet<String>,
 }
 
 impl NameTable {
-    fn resolve(&mut self, original: &str) -> String {
-        if let Some(done) = self.assigned.get(original) {
-            return done.clone();
-        }
+    fn fresh(&mut self, original: &str) -> String {
         let base = ident(original);
-        let name = if self.used.insert(base.clone()) {
-            base
-        } else {
-            let mut k = 2usize;
-            loop {
-                let candidate = format!("{base}_{k}");
-                if self.used.insert(candidate.clone()) {
-                    break candidate;
-                }
-                k += 1;
-            }
-        };
-        self.assigned.insert(original.to_owned(), name.clone());
-        name
+        if self.used.insert(base.clone()) {
+            return base;
+        }
+        (2usize..)
+            .map(|k| format!("{base}_{k}"))
+            .find(|candidate| self.used.insert(candidate.clone()))
+            .expect("suffixes are unbounded")
     }
 }
 
 /// Emits the netlist as structural Verilog.
 pub fn emit(netlist: &Netlist) -> String {
     use std::fmt::Write as _;
-    // Nets and instances are distinct Verilog namespaces; each gets its
-    // own collision table. Resolution order (ports, internal wires by
-    // index, then cells) is deterministic, so emission is reproducible.
-    let mut net_names = NameTable::default();
-    let mut inst_names = NameTable::default();
-    let net = |id: NetId, t: &mut NameTable| t.resolve(netlist.net_name(id));
+    let (inputs, outputs) = (netlist.primary_inputs(), netlist.primary_outputs());
+    // Nets and instances are distinct Verilog namespaces with one table
+    // each. Every net is named once, in a fixed order (inputs, outputs,
+    // then the rest by index), so emission is reproducible.
+    let mut net_table = NameTable::default();
+    let mut names: Vec<Option<String>> = vec![None; netlist.net_count()];
+    let mut is_port = vec![false; netlist.net_count()];
+    for &id in inputs.iter().chain(outputs) {
+        is_port[id.index()] = true;
+    }
+    let order = inputs
+        .iter()
+        .chain(outputs)
+        .copied()
+        .chain((0..netlist.net_count()).map(NetId::from_index));
+    for id in order {
+        names[id.index()].get_or_insert_with(|| net_table.fresh(netlist.net_name(id)));
+    }
+    let names: Vec<String> = names.into_iter().flatten().collect();
+    let net = |id: &NetId| names[id.index()].as_str();
 
     let mut v = String::new();
     let _ = writeln!(v, "// Auto-generated structural netlist: {}", netlist.name());
     let _ = writeln!(v, "module {} (", ident(netlist.name()));
-    let mut ports: Vec<String> = Vec::new();
-    for &pi in netlist.primary_inputs() {
-        ports.push(format!("  input  wire {}", net(pi, &mut net_names)));
-    }
-    for &po in netlist.primary_outputs() {
-        ports.push(format!("  output wire {}", net(po, &mut net_names)));
-    }
+    let ports: Vec<String> = inputs
+        .iter()
+        .map(|id| format!("  input  wire {}", net(id)))
+        .chain(outputs.iter().map(|id| format!("  output wire {}", net(id))))
+        .collect();
     let _ = writeln!(v, "{}", ports.join(",\n"));
     let _ = writeln!(v, ");");
 
     // Internal wires: everything that isn't a port.
-    for i in 0..netlist.net_count() {
-        let id = NetId::from_index(i);
-        if !netlist.primary_inputs().contains(&id) && !netlist.primary_outputs().contains(&id) {
-            let _ = writeln!(v, "  wire {};", net(id, &mut net_names));
-        }
+    for (name, _) in names.iter().zip(&is_port).filter(|(_, &port)| !port) {
+        let _ = writeln!(v, "  wire {name};");
     }
 
+    let mut inst_table = NameTable::default();
     for cell in netlist.cells() {
-        match &cell.kind {
-            CellKind::Gate { kind, drive } => {
-                let pins: Vec<String> = cell
-                    .inputs
-                    .iter()
-                    .chain(cell.outputs.iter())
-                    .map(|&n| net(n, &mut net_names))
-                    .collect();
-                let _ = writeln!(
-                    v,
-                    "  {}_X{} {} ({});",
-                    kind.name(),
-                    (*drive).round() as i64,
-                    inst_names.resolve(&cell.name),
-                    pins.join(", ")
-                );
-            }
-            CellKind::Macro { lib_name } => {
-                let pins: Vec<String> = cell
-                    .inputs
-                    .iter()
-                    .chain(cell.outputs.iter())
-                    .map(|&n| net(n, &mut net_names))
-                    .collect();
-                let _ = writeln!(
-                    v,
-                    "  {} {} ({});",
-                    ident(lib_name),
-                    inst_names.resolve(&cell.name),
-                    pins.join(", ")
-                );
-            }
+        let cell_type = match &cell.kind {
+            CellKind::Gate { kind, drive } => format!("{}_X{}", kind.name(), drive.round() as i64),
+            CellKind::Macro { lib_name } => ident(lib_name),
             CellKind::Tie { value } => {
-                let _ = writeln!(
-                    v,
-                    "  assign {} = 1'b{};",
-                    net(cell.outputs[0], &mut net_names),
-                    *value as u8
-                );
+                let out = net(&cell.outputs[0]);
+                let _ = writeln!(v, "  assign {out} = 1'b{};", *value as u8);
+                continue;
             }
-        }
+        };
+        let pins: Vec<&str> = cell.inputs.iter().chain(&cell.outputs).map(net).collect();
+        let inst = inst_table.fresh(&cell.name);
+        let _ = writeln!(v, "  {cell_type} {inst} ({});", pins.join(", "));
     }
     let _ = writeln!(v, "endmodule");
     v
@@ -166,6 +137,19 @@ mod tests {
                 assert!(seen.insert(name.trim_end_matches(',').to_owned()), "{line}");
             }
         }
+
+        // Repeated names, not just sanitization clashes: two nets and two
+        // cells called `t` must still become distinct wires and instances.
+        let mut n = Netlist::new("same");
+        let a = n.add_input("a");
+        let t1 = n.add_gate(StdCellKind::Inv, 1.0, &[a], "t").unwrap();
+        let t2 = n.add_gate(StdCellKind::Buf, 1.0, &[t1], "t").unwrap();
+        n.mark_output(t2);
+        let v = emit(&n);
+        assert!(v.contains("output wire t\n"), "{v}");
+        assert!(v.contains("  wire t_2;"), "{v}");
+        assert!(v.contains("INV_X1 u_t (a, t_2);"), "{v}");
+        assert!(v.contains("BUF_X1 u_t_2 (t_2, t);"), "{v}");
     }
 
     #[test]

@@ -228,3 +228,82 @@ fn testkit_rng_streams_are_independent_of_call_pattern() {
     );
     assert_eq!(trace_a, trace_b);
 }
+
+/// The lowering plan `examples/smart_mem.v` is pinned under: 64-word
+/// bricks, one lane, the library name the flow would register.
+fn smart_mem_netlist() -> lim_rtl::Netlist {
+    let src = include_str!("../examples/smart_mem.v");
+    let module = lim_rtl::parse(src).unwrap();
+    let inference = lim_rtl::infer::infer(&module);
+    let plans = inference
+        .memories
+        .iter()
+        .map(|m| {
+            let plan = lim_rtl::MemLowering {
+                brick_words: 64,
+                entry_names: vec![format!("brick_8t_64_{}_x{}", m.bits, m.words / 64)],
+            };
+            (m.name.clone(), plan)
+        })
+        .collect();
+    lim_rtl::smartmem::lower(&module, &inference, &plans).unwrap()
+}
+
+#[test]
+fn generated_netlists_are_byte_identical_to_pinned_digests() {
+    use lim::cam::{self, CamConfig, SpgemmCoreConfig};
+    use lim::interpolation::{self, InterpolationConfig};
+    use lim::parallel_access::{generate_conventional, generate_lim};
+    use lim::{sram, ParallelAccessConfig, SramConfig};
+    use lim_serve::protocol::fnv1a;
+
+    // FNV-1a 64 of each netlist's `Debug` rendering: cell order, names,
+    // kinds, drives and connectivity. Any periphery refactor must keep
+    // these unchanged; a deliberate netlist change updates them here.
+    let tech = Technology::cmos65();
+    let mut lib = BrickLibrary::new();
+    let sram_at = |lib: &mut BrickLibrary, w, b, p, bw| {
+        sram::generate(&tech, &SramConfig::new(w, b, p, bw).unwrap(), lib).unwrap()
+    };
+    let pam = ParallelAccessConfig::motion_estimation();
+    let interp = InterpolationConfig::sar_default();
+    let cases: Vec<(&str, lim_rtl::Netlist, u64)> = vec![
+        ("decoder", decoder("dec", 5, 20, true).unwrap(), 0x2b73_16c2_fd4a_c58f),
+        ("sram_32x10_p1", sram_at(&mut lib, 32, 10, 1, 16), 0xbb4b_a094_3d2c_687d),
+        ("sram_128x10_p4", sram_at(&mut lib, 128, 10, 4, 16), 0x2d54_76c1_b5da_9f44),
+        ("sram_1024x16_p4_b64", sram_at(&mut lib, 1024, 16, 4, 64), 0xd081_2069_a995_a15e),
+        ("pam_lim", generate_lim(&tech, &pam, &mut lib).unwrap(), 0x1162_efa6_c911_f16b),
+        ("pam_conv", generate_conventional(&tech, &pam, &mut lib).unwrap(), 0x52d1_3c11_e089_e89f),
+        ("interp_lim", interpolation::generate_lim(&tech, &interp, &mut lib).unwrap(), 0x746e_00ed_cec9_8227),
+        (
+            "interp_full_table",
+            interpolation::generate_full_table(&tech, &interp, &mut lib).unwrap(),
+            0x528d_3d0f_ca93_fc48,
+        ),
+        (
+            "cam_block",
+            cam::generate_cam_block(&tech, &CamConfig::spgemm_paper(), &mut lib).unwrap(),
+            0x5d5a_ceed_5b66_6f62,
+        ),
+        (
+            "spgemm_core",
+            cam::generate_lim_spgemm_core(&tech, &SpgemmCoreConfig::paper(), &mut lib).unwrap(),
+            0xcea8_ea97_5177_f314,
+        ),
+        ("smart_mem", smart_mem_netlist(), 0x150f_5338_9e7f_f99a),
+        (
+            "heap_spgemm_core",
+            cam::generate_heap_spgemm_core(&tech, &SpgemmCoreConfig::paper(), &mut lib).unwrap(),
+            0x1f75_acc7_202a_ed7c,
+        ),
+        ("mux_tree", lim_rtl::generators::mux_tree("mux", 11).unwrap(), 0x1d77_74ee_90db_7b6c),
+    ];
+    let mismatches: Vec<String> = cases
+        .iter()
+        .filter_map(|(name, netlist, pinned)| {
+            let got = fnv1a(format!("{netlist:?}").as_bytes());
+            (got != *pinned).then(|| format!("{name}: got {got:#018x}, pinned {pinned:#018x}"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}

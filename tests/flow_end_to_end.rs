@@ -71,14 +71,15 @@ fn gate_level_simulation_of_generated_sram_periphery() {
     let netlist = sram::generate(&tech, &cfg, &mut lib).unwrap();
     let mut sim = Simulator::new(&netlist).unwrap();
 
-    // The bank macro's read wordlines are its inputs 2..2+32 (after clk
-    // and enable).
+    // The bank macro's read wordlines, parsed from its pin layout.
     let macro_cell = netlist
         .cells()
         .iter()
         .find(|c| matches!(c.kind, lim_rtl::CellKind::Macro { .. }))
         .expect("one bank macro");
-    let rdwl: Vec<lim_rtl::NetId> = macro_cell.inputs[2..2 + 32].to_vec();
+    let rdwl = lim_rtl::generators::BankPins::from_cell(macro_cell, 32, 10)
+        .unwrap()
+        .rdwl;
 
     // Inputs after the clock: raddr[5], waddr[5], we, din[10].
     for addr in [0usize, 7, 19, 31] {
