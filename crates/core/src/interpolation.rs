@@ -76,6 +76,15 @@ impl InterpolationConfig {
                 reason: "seed count must be a power of two".into(),
             });
         }
+        // The seed decoder needs at least one address bit.
+        if self.seed_size < 2 {
+            return Err(LimError::BadConfig {
+                reason: format!(
+                    "{} seed word leaves the seed decoder no address bit; store at least 2",
+                    self.seed_size
+                ),
+            });
+        }
         Ok(())
     }
 }
@@ -341,6 +350,22 @@ mod tests {
             data_bits: 12,
         };
         assert!(degenerate.validate().is_err());
+    }
+
+    #[test]
+    fn one_seed_is_a_config_error_not_a_panic() {
+        // One stored seed leaves the seed decoder no address bit.
+        let one_seed = InterpolationConfig {
+            table_size: 2,
+            seed_size: 1,
+            data_bits: 12,
+        };
+        let err = generate_lim(&Technology::cmos65(), &one_seed, &mut BrickLibrary::new())
+            .expect_err("one seed must be rejected");
+        assert!(
+            matches!(&err, LimError::BadConfig { reason } if reason.contains("1 seed")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -90,6 +90,15 @@ impl ParallelAccessConfig {
                 ),
             });
         }
+        // The bank decoders need at least one address bit.
+        if self.words_per_bank() < 2 {
+            return Err(LimError::BadConfig {
+                reason: format!(
+                    "{} word per bank leaves the bank decoder no address bit; the image must hold at least 2 windows",
+                    self.words_per_bank()
+                ),
+            });
+        }
         Ok(())
     }
 
@@ -326,6 +335,23 @@ mod tests {
         bad = cfg();
         bad.pixel_bits = 0;
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn one_word_per_bank_is_a_config_error_not_a_panic() {
+        // A 4x4 image under a 4x4 window puts one pixel in each bank:
+        // no address bit for the bank decoders to decode.
+        let one_word = ParallelAccessConfig {
+            image_rows: 4,
+            image_cols: 4,
+            ..cfg()
+        };
+        let err = generate_lim(&Technology::cmos65(), &one_word, &mut BrickLibrary::new())
+            .expect_err("one word per bank must be rejected");
+        assert!(
+            matches!(&err, LimError::BadConfig { reason } if reason.contains("1 word")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -3,40 +3,78 @@
 //! zero external dependencies, and downstream `BENCH_*.json` tooling
 //! needs a checker it can trust not to drift from the emitter.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Escapes `s` as the *contents* of a JSON string (no surrounding
 /// quotes).
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
     out
+}
+
+/// Appends `s` escaped as the contents of a JSON string to `out`. Only
+/// ASCII bytes ever need an escape, so the scan is bytewise and every
+/// run of bytes between escapes (multi-byte UTF-8 included) is copied
+/// whole.
+pub fn escape_into(s: &str, out: &mut String) {
+    // No exact up-front reserve: for `lim-serve`'s megabyte answers that
+    // fragmented the worker threads' allocator arenas (about 15 MB more
+    // daemon RSS), while `String`'s doubling growth costs a few copies.
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // `b` is ASCII, so `run..i` and `i + 1` are char boundaries.
+        out.push_str(&s[run..i]);
+        match escaped {
+            Some(e) => out.push_str(e),
+            None => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Renders `s` as a quoted JSON string.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    push_string(s, &mut out);
+    out
+}
+
+/// Appends `s` to `out` as a quoted JSON string.
+fn push_string(s: &str, out: &mut String) {
+    out.push('"');
+    escape_into(s, out);
+    out.push('"');
 }
 
 /// Renders an `f64` as a JSON number. Non-finite values have no JSON
 /// representation and render as `null`.
 pub fn number(x: f64) -> String {
+    let mut out = String::new();
+    push_number(x, &mut out);
+    out
+}
+
+fn push_number(x: f64, out: &mut String) {
     if x.is_finite() {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     } else {
-        "null".to_owned()
+        out.push_str("null");
     }
 }
 
@@ -141,8 +179,8 @@ fn render_into(v: &Value, out: &mut String, canonical: bool) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(x) => out.push_str(&number(*x)),
-        Value::String(s) => out.push_str(&string(s)),
+        Value::Number(x) => push_number(*x, out),
+        Value::String(s) => push_string(s, out),
         Value::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -164,7 +202,7 @@ fn render_into(v: &Value, out: &mut String, canonical: bool) {
                     out.push(',');
                 }
                 let (key, value) = &members[m];
-                out.push_str(&string(key));
+                push_string(key, out);
                 out.push(':');
                 render_into(value, out, canonical);
             }
@@ -444,6 +482,58 @@ pub fn validate_lines(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The char-at-a-time escaper [`escape_into`] replaced, kept as its
+    /// oracle.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn prop_escape_into_matches_the_char_by_char_oracle() {
+        // Strings drawn from an alphabet of every escape class: quote,
+        // backslash, each control byte 0x00-0x1f, DEL, plain ASCII and
+        // 2-, 3- and 4-byte UTF-8, appended to a non-empty prefix so the
+        // append path is checked too.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend([
+            '"', '\\', '\u{7f}', 'a', 'Z', '0', ' ', '/', 'µ', 'é', '€', '✓', '𝄞', '😀',
+        ]);
+        lim_testkit::prop::check("json_escape_into_oracle", |rng| {
+            let len = rng.gen_range(0usize..64);
+            let s: String = (0..len)
+                .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                .collect();
+            let mut out = String::from("prefix:");
+            escape_into(&s, &mut out);
+            assert_eq!(
+                out.strip_prefix("prefix:"),
+                Some(escape_by_char(&s).as_str()),
+                "{s:?}"
+            );
+            assert_eq!(escape(&s), escape_by_char(&s));
+            assert_eq!(string(&s), format!("\"{}\"", escape_by_char(&s)));
+            // The escaped form parses back to the input.
+            assert_eq!(
+                Value::parse(&string(&s)).unwrap().as_str(),
+                Some(s.as_str())
+            );
+        });
+    }
 
     #[test]
     fn escape_specials() {

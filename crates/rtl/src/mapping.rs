@@ -35,9 +35,15 @@ pub const FANOUT_BUDGET: usize = 8;
 /// Propagates validation failures on the input netlist.
 pub fn optimize(netlist: &Netlist) -> Result<(Netlist, OptimizeStats), RtlError> {
     let _span = lim_obs::Span::enter("map");
-    netlist.validate()?;
+    {
+        let _check = lim_obs::Span::enter("validate_input");
+        netlist.validate()?;
+    }
     let mut stats = OptimizeStats::default();
-    let mut n = netlist.clone();
+    let mut n = {
+        let _copy = lim_obs::Span::enter("copy_netlist");
+        netlist.clone()
+    };
     {
         let _pass = lim_obs::Span::enter("fold_constants");
         stats.constants_folded = fold_constants(&mut n)?;
@@ -53,7 +59,10 @@ pub fn optimize(netlist: &Netlist) -> Result<(Netlist, OptimizeStats), RtlError>
     lim_obs::counter_add("map.constants_folded", stats.constants_folded as u64);
     lim_obs::counter_add("map.dead_removed", stats.dead_removed as u64);
     lim_obs::counter_add("map.buffers_inserted", stats.buffers_inserted as u64);
-    n.validate()?;
+    {
+        let _check = lim_obs::Span::enter("validate_output");
+        n.validate()?;
+    }
     Ok((n, stats))
 }
 

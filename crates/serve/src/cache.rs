@@ -1,6 +1,7 @@
 //! Content-addressed response memo: an LRU keyed by the request's
 //! [`cache_key`](crate::protocol::cache_key) holding fully rendered
-//! result strings under a byte budget.
+//! result strings under a byte budget. Values are shared `Arc<str>`s,
+//! so a hit hands out a reference count, not a copy of the body.
 //!
 //! The list is woven through a slab of slots (index links, no pointer
 //! chasing, no unsafe): `head` is most recently used, `tail` is the
@@ -9,6 +10,7 @@
 //! grow the map without bound.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const NIL: usize = usize::MAX;
 /// Fixed accounting overhead charged per cached entry (slot + map
@@ -18,7 +20,7 @@ const SLOT_OVERHEAD: usize = 64;
 #[derive(Debug)]
 struct Slot {
     key: u64,
-    value: String,
+    value: Arc<str>,
     prev: usize,
     next: usize,
 }
@@ -36,6 +38,7 @@ pub struct ResponseCache {
     hits: u64,
     misses: u64,
     evictions: u64,
+    oversize_drops: u64,
 }
 
 impl ResponseCache {
@@ -53,6 +56,7 @@ impl ResponseCache {
             hits: 0,
             misses: 0,
             evictions: 0,
+            oversize_drops: 0,
         }
     }
 
@@ -95,13 +99,13 @@ impl ResponseCache {
     }
 
     /// Looks a response up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: u64) -> Option<&str> {
+    pub fn get(&mut self, key: u64) -> Option<Arc<str>> {
         match self.map.get(&key).copied() {
             Some(i) => {
                 self.hits += 1;
                 self.unlink(i);
                 self.push_front(i);
-                Some(&self.slots[i].value)
+                Some(Arc::clone(&self.slots[i].value))
             }
             None => {
                 self.misses += 1;
@@ -112,9 +116,13 @@ impl ResponseCache {
 
     /// Inserts (or refreshes) a response, evicting least-recently-used
     /// entries until the budget holds. Values costing more than the
-    /// whole budget are dropped rather than cached.
-    pub fn insert(&mut self, key: u64, value: String) {
+    /// whole budget are dropped rather than cached, and counted in
+    /// [`oversize_drops`](Self::oversize_drops) and the
+    /// `serve.cache_oversize_drops` obs counter.
+    pub fn insert(&mut self, key: u64, value: Arc<str>) {
         if Self::cost(&value) > self.budget {
+            self.oversize_drops += 1;
+            lim_obs::counter_add("serve.cache_oversize_drops", 1);
             return;
         }
         if let Some(&i) = self.map.get(&key) {
@@ -150,7 +158,7 @@ impl ResponseCache {
             self.unlink(victim);
             self.map.remove(&self.slots[victim].key);
             self.bytes -= Self::cost(&self.slots[victim].value);
-            self.slots[victim].value = String::new();
+            self.slots[victim].value = Arc::default();
             self.free.push(victim);
             self.evictions += 1;
         }
@@ -190,6 +198,11 @@ impl ResponseCache {
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
+
+    /// Values never cached because they alone cost more than the budget.
+    pub fn oversize_drops(&self) -> u64 {
+        self.oversize_drops
+    }
 }
 
 #[cfg(test)]
@@ -202,12 +215,12 @@ mod tests {
         assert!(c.get(1).is_none());
         c.insert(1, "one".into());
         c.insert(2, "two".into());
-        assert_eq!(c.get(1), Some("one"));
+        assert_eq!(c.get(1).as_deref(), Some("one"));
         assert_eq!(c.len(), 2);
         assert_eq!((c.hits(), c.misses()), (1, 1));
         // Refreshing a key replaces its value without growing the map.
         c.insert(1, "uno".into());
-        assert_eq!(c.get(1), Some("uno"));
+        assert_eq!(c.get(1).as_deref(), Some("uno"));
         assert_eq!(c.len(), 2);
     }
 
@@ -216,10 +229,10 @@ mod tests {
         // Room for exactly two entries of cost 100+64.
         let mut c = ResponseCache::new(2 * (100 + 64));
         let big = "x".repeat(100);
-        c.insert(1, big.clone());
-        c.insert(2, big.clone());
-        assert_eq!(c.get(1).map(str::len), Some(100)); // 1 is now MRU
-        c.insert(3, big.clone());
+        c.insert(1, big.as_str().into());
+        c.insert(2, big.as_str().into());
+        assert_eq!(c.get(1).as_deref().map(str::len), Some(100)); // 1 is now MRU
+        c.insert(3, big.as_str().into());
         assert_eq!(c.evictions(), 1);
         assert!(c.get(2).is_none(), "LRU key 2 evicted");
         assert!(c.get(1).is_some());
@@ -230,12 +243,14 @@ mod tests {
     #[test]
     fn oversized_values_and_zero_budget_are_dropped() {
         let mut c = ResponseCache::new(32);
-        c.insert(1, "y".repeat(1000));
+        c.insert(1, "y".repeat(1000).into());
         assert!(c.is_empty());
+        assert_eq!(c.oversize_drops(), 1);
         let mut z = ResponseCache::new(0);
-        z.insert(1, String::new());
+        z.insert(1, "".into());
         assert!(z.is_empty());
         assert!(z.get(1).is_none());
+        assert_eq!((z.oversize_drops(), z.evictions()), (1, 0));
     }
 
     #[test]
@@ -255,7 +270,7 @@ mod tests {
                 if rng.next_u64() % 3 < 2 {
                     let len = (rng.next_u64() % 280) as usize;
                     let value = "v".repeat(len);
-                    c.insert(key, value.clone());
+                    c.insert(key, value.as_str().into());
                     // Values costing more than the whole budget are
                     // dropped and leave any previous entry untouched.
                     if ResponseCache::cost(&value) <= budget {
@@ -269,7 +284,7 @@ mod tests {
                         }
                     }
                 } else {
-                    let got = c.get(key).map(str::to_owned);
+                    let got = c.get(key).as_deref().map(str::to_owned);
                     match model.iter().position(|(k, _)| *k == key) {
                         Some(p) => {
                             let entry = model.remove(p);
@@ -291,11 +306,11 @@ mod tests {
     fn slots_are_recycled_after_eviction() {
         let mut c = ResponseCache::new(100 + 64);
         for key in 0..50 {
-            c.insert(key, "x".repeat(100));
+            c.insert(key, "x".repeat(100).into());
         }
         assert_eq!(c.len(), 1);
         assert_eq!(c.evictions(), 49);
         assert!(c.slots.len() <= 2, "evicted slots must be reused");
-        assert_eq!(c.get(49).map(str::len), Some(100));
+        assert_eq!(c.get(49).as_deref().map(str::len), Some(100));
     }
 }

@@ -209,9 +209,15 @@ fn inline_fast(rq: &Request, shared: &ServerShared) -> bool {
 
 /// Appends a response line and opportunistically flushes, so the
 /// common case answers within the same readiness event instead of
-/// waiting a poll cycle for `POLLOUT`.
-fn push_response(conn: &mut Conn, line: &str) {
-    conn.out.extend_from_slice(line.as_bytes());
+/// waiting a poll cycle for `POLLOUT`. With nothing queued the line's
+/// own buffer becomes the outbound queue, so a large answer is not
+/// copied again.
+fn push_response(conn: &mut Conn, line: String) {
+    if conn.out.is_empty() {
+        conn.out = line.into_bytes();
+    } else {
+        conn.out.extend_from_slice(line.as_bytes());
+    }
     conn.out.push(b'\n');
     flush(conn);
 }
@@ -290,7 +296,7 @@ fn pump(conn: &mut Conn, tok: u64, shared: &ServerShared, jobs: &mpsc::Sender<Jo
                 // Answer with a well-formed error line before closing,
                 // then stop parsing this connection for good.
                 let err = ServeError::bad_request(e.message());
-                push_response(conn, &error_line(&Value::Null, &err));
+                push_response(conn, error_line(&Value::Null, &err));
                 conn.buf = LineBuffer::new();
                 conn.discard_until = Some(Instant::now() + DISCARD_GRACE);
                 return;
@@ -309,27 +315,24 @@ fn handle_line(
     let rq = match Request::parse(line) {
         Ok(rq) => rq,
         Err(e) => {
-            push_response(conn, &error_line(&Value::Null, &e));
+            push_response(conn, error_line(&Value::Null, &e));
             return;
         }
     };
     if let Some(response) = transport_response(&rq, shared) {
-        push_response(conn, &response);
+        push_response(conn, response);
         return;
     }
     if inline_fast(&rq, shared) {
         let response = execute(&rq, shared);
-        push_response(conn, &response);
+        push_response(conn, response);
         return;
     }
     conn.busy = true;
     if let Err(mpsc::SendError(job)) = jobs.send(Job { token: tok, rq }) {
         // Workers are gone (teardown race): shed instead of hanging.
         conn.busy = false;
-        push_response(
-            conn,
-            &error_line(&job.rq.id, &ServeError::overloaded()),
-        );
+        push_response(conn, error_line(&job.rq.id, &ServeError::overloaded()));
     }
 }
 
@@ -419,7 +422,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<ServerShared>) -> io::Resul
                 if let Some(Some(c)) = conns.get_mut(slot) {
                     if c.gen == gen {
                         c.busy = false;
-                        push_response(c, &response);
+                        push_response(c, response);
                         pump(c, tok, &shared, &job_tx);
                     }
                 }

@@ -191,15 +191,27 @@ pub fn ok_line(id: &Value, cached: bool, result: &str) -> String {
 /// member appears only when the request carried a trace id, so
 /// responses to untraced requests are byte-identical to pre-trace
 /// protocol output.
+///
+/// `result` can be a megabyte of Verilog, so the line is sized once,
+/// with room for the framing newline the transport appends, and built
+/// by appending pieces rather than formatting.
 pub fn ok_line_traced(id: &Value, cached: bool, trace: Option<&str>, result: &str) -> String {
-    let trace_member = match trace {
-        Some(t) => format!(",\"trace\":{}", json::string(t)),
-        None => String::new(),
-    };
-    format!(
-        "{{\"id\":{},\"ok\":true,\"cached\":{cached}{trace_member},\"result\":{result}}}",
-        json::render(id)
-    )
+    let id = json::render(id);
+    let trace_len = trace.map_or(0, |t| t.len() + 12);
+    let mut line = String::with_capacity(id.len() + trace_len + result.len() + 48);
+    line.push_str("{\"id\":");
+    line.push_str(&id);
+    line.push_str(",\"ok\":true,\"cached\":");
+    line.push_str(if cached { "true" } else { "false" });
+    if let Some(t) = trace {
+        line.push_str(",\"trace\":\"");
+        json::escape_into(t, &mut line);
+        line.push('"');
+    }
+    line.push_str(",\"result\":");
+    line.push_str(result);
+    line.push('}');
+    line
 }
 
 /// Builds an error response line (no trailing newline).

@@ -309,15 +309,21 @@ impl Service {
     /// cold compile, so it is promoted into the memo and served as
     /// `cached`, byte-identical. Counts `serve.cache_hits`,
     /// `serve.disk_hits` or `serve.cache_misses`.
+    ///
+    /// The global memo lock is held only to bump the hit's reference
+    /// count; the body is copied out after it is released.
     fn memo_lookup(&self, key: u64) -> Option<String> {
         let cache = || self.cache.lock().expect("response cache lock poisoned");
-        if let Some(hit) = cache().get(key).map(str::to_owned) {
+        // A `let` of its own drops the guard before the copy below.
+        let hit = cache().get(key);
+        if let Some(hit) = hit {
             lim_obs::counter_add("serve.cache_hits", 1);
-            return Some(hit);
+            return Some(hit.as_ref().to_owned());
         }
         if let Some(body) = self.disk.as_ref().and_then(|disk| disk.load_response(key)) {
             lim_obs::counter_add("serve.disk_hits", 1);
-            cache().insert(key, body.clone());
+            let shared = Arc::from(body.as_str());
+            cache().insert(key, shared);
             return Some(body);
         }
         lim_obs::counter_add("serve.cache_misses", 1);
@@ -328,10 +334,11 @@ impl Service {
     /// persistent tier.
     fn memo_store(&self, key: u64, method: &str, rendered: &str) {
         let _span = lim_obs::Span::enter("memo_insert");
+        let shared = Arc::from(rendered);
         self.cache
             .lock()
             .expect("response cache lock poisoned")
-            .insert(key, rendered.to_owned());
+            .insert(key, shared);
         if let Some(disk) = &self.disk {
             disk.store_response(key, method, rendered);
         }
@@ -572,15 +579,17 @@ impl Service {
         self.library.absorb(flow.into_library());
         self.persist_library();
         let _span = lim_obs::Span::enter("render");
+        // The Verilog (about 1 MB for `examples/smart_mem.v`) is moved
+        // into the value, so rendering copies it once, into the reply.
         Ok(json::render(&obj(vec![
-            ("module", Value::String(report.module.clone())),
+            ("module", Value::String(report.module)),
             ("parse_lines", num(report.parse_lines as f64)),
             (
                 "memories",
                 Value::Array(report.memories.iter().map(memory_plan_value).collect()),
             ),
             ("report", block_value(&report.block)),
-            ("verilog", Value::String(report.verilog.clone())),
+            ("verilog", Value::String(report.verilog)),
         ])))
     }
 
@@ -854,6 +863,7 @@ impl Service {
             ("bytes", num(cache.bytes() as f64)),
             ("budget", num(cache.budget() as f64)),
             ("evictions", num(cache.evictions() as f64)),
+            ("oversize_drops", num(cache.oversize_drops() as f64)),
         ]);
         drop(cache);
         let disk_v = match &self.disk {

@@ -229,9 +229,9 @@ fn testkit_rng_streams_are_independent_of_call_pattern() {
     assert_eq!(trace_a, trace_b);
 }
 
-/// The lowering plan `examples/smart_mem.v` is pinned under: 64-word
-/// bricks, one lane, the library name the flow would register.
-fn smart_mem_netlist() -> lim_rtl::Netlist {
+/// `examples/smart_mem.v` lowered at `brick_words`-word bricks, one
+/// lane, under the library name the flow would register.
+fn smart_mem_netlist(brick_words: usize) -> lim_rtl::Netlist {
     let src = include_str!("../examples/smart_mem.v");
     let module = lim_rtl::parse(src).unwrap();
     let inference = lim_rtl::infer::infer(&module);
@@ -240,8 +240,12 @@ fn smart_mem_netlist() -> lim_rtl::Netlist {
         .iter()
         .map(|m| {
             let plan = lim_rtl::MemLowering {
-                brick_words: 64,
-                entry_names: vec![format!("brick_8t_64_{}_x{}", m.bits, m.words / 64)],
+                brick_words,
+                entry_names: vec![format!(
+                    "brick_8t_{brick_words}_{}_x{}",
+                    m.bits,
+                    m.words / brick_words
+                )],
             };
             (m.name.clone(), plan)
         })
@@ -249,17 +253,16 @@ fn smart_mem_netlist() -> lim_rtl::Netlist {
     lim_rtl::smartmem::lower(&module, &inference, &plans).unwrap()
 }
 
-#[test]
-fn generated_netlists_are_byte_identical_to_pinned_digests() {
+/// The generated netlists whose bytes are pinned below: the SRAM
+/// periphery at three shapes, parallel-access, interpolation, CAM and
+/// SpGEMM blocks, a decoder, a mux tree, and `examples/smart_mem.v`
+/// lowered at 64-word bricks.
+fn pinned_netlists() -> Vec<(&'static str, lim_rtl::Netlist)> {
     use lim::cam::{self, CamConfig, SpgemmCoreConfig};
     use lim::interpolation::{self, InterpolationConfig};
     use lim::parallel_access::{generate_conventional, generate_lim};
     use lim::{sram, ParallelAccessConfig, SramConfig};
-    use lim_serve::protocol::fnv1a;
 
-    // FNV-1a 64 of each netlist's `Debug` rendering: cell order, names,
-    // kinds, drives and connectivity. Any periphery refactor must keep
-    // these unchanged; a deliberate netlist change updates them here.
     let tech = Technology::cmos65();
     let mut lib = BrickLibrary::new();
     let sram_at = |lib: &mut BrickLibrary, w, b, p, bw| {
@@ -267,43 +270,145 @@ fn generated_netlists_are_byte_identical_to_pinned_digests() {
     };
     let pam = ParallelAccessConfig::motion_estimation();
     let interp = InterpolationConfig::sar_default();
-    let cases: Vec<(&str, lim_rtl::Netlist, u64)> = vec![
-        ("decoder", decoder("dec", 5, 20, true).unwrap(), 0x2b73_16c2_fd4a_c58f),
-        ("sram_32x10_p1", sram_at(&mut lib, 32, 10, 1, 16), 0xbb4b_a094_3d2c_687d),
-        ("sram_128x10_p4", sram_at(&mut lib, 128, 10, 4, 16), 0x2d54_76c1_b5da_9f44),
-        ("sram_1024x16_p4_b64", sram_at(&mut lib, 1024, 16, 4, 64), 0xd081_2069_a995_a15e),
-        ("pam_lim", generate_lim(&tech, &pam, &mut lib).unwrap(), 0x1162_efa6_c911_f16b),
-        ("pam_conv", generate_conventional(&tech, &pam, &mut lib).unwrap(), 0x52d1_3c11_e089_e89f),
-        ("interp_lim", interpolation::generate_lim(&tech, &interp, &mut lib).unwrap(), 0x746e_00ed_cec9_8227),
+    let core = SpgemmCoreConfig::paper();
+    vec![
+        ("decoder", decoder("dec", 5, 20, true).unwrap()),
+        ("sram_32x10_p1", sram_at(&mut lib, 32, 10, 1, 16)),
+        ("sram_128x10_p4", sram_at(&mut lib, 128, 10, 4, 16)),
+        ("sram_1024x16_p4_b64", sram_at(&mut lib, 1024, 16, 4, 64)),
+        ("pam_lim", generate_lim(&tech, &pam, &mut lib).unwrap()),
+        (
+            "pam_conv",
+            generate_conventional(&tech, &pam, &mut lib).unwrap(),
+        ),
+        (
+            "interp_lim",
+            interpolation::generate_lim(&tech, &interp, &mut lib).unwrap(),
+        ),
         (
             "interp_full_table",
             interpolation::generate_full_table(&tech, &interp, &mut lib).unwrap(),
-            0x528d_3d0f_ca93_fc48,
         ),
         (
             "cam_block",
             cam::generate_cam_block(&tech, &CamConfig::spgemm_paper(), &mut lib).unwrap(),
-            0x5d5a_ceed_5b66_6f62,
         ),
         (
             "spgemm_core",
-            cam::generate_lim_spgemm_core(&tech, &SpgemmCoreConfig::paper(), &mut lib).unwrap(),
-            0xcea8_ea97_5177_f314,
+            cam::generate_lim_spgemm_core(&tech, &core, &mut lib).unwrap(),
         ),
-        ("smart_mem", smart_mem_netlist(), 0x150f_5338_9e7f_f99a),
+        ("smart_mem", smart_mem_netlist(64)),
         (
             "heap_spgemm_core",
-            cam::generate_heap_spgemm_core(&tech, &SpgemmCoreConfig::paper(), &mut lib).unwrap(),
-            0x1f75_acc7_202a_ed7c,
+            cam::generate_heap_spgemm_core(&tech, &core, &mut lib).unwrap(),
         ),
-        ("mux_tree", lim_rtl::generators::mux_tree("mux", 11).unwrap(), 0x1d77_74ee_90db_7b6c),
-    ];
-    let mismatches: Vec<String> = cases
+        (
+            "mux_tree",
+            lim_rtl::generators::mux_tree("mux", 11).unwrap(),
+        ),
+    ]
+}
+
+/// Names every case whose FNV-1a 64 digest differs from its pin.
+fn digest_mismatches(cases: &[(&str, String)], pinned: &[(&str, u64)]) -> Vec<String> {
+    assert_eq!(cases.len(), pinned.len(), "one pin per case");
+    cases
         .iter()
-        .filter_map(|(name, netlist, pinned)| {
-            let got = fnv1a(format!("{netlist:?}").as_bytes());
-            (got != *pinned).then(|| format!("{name}: got {got:#018x}, pinned {pinned:#018x}"))
+        .zip(pinned)
+        .filter_map(|((name, text), (pin_name, pin))| {
+            assert_eq!(name, pin_name, "pins are listed in case order");
+            let got = lim_serve::protocol::fnv1a(text.as_bytes());
+            (got != *pin).then(|| format!("{name}: got {got:#018x}, pinned {pin:#018x}"))
         })
+        .collect()
+}
+
+#[test]
+fn generated_netlists_are_byte_identical_to_pinned_digests() {
+    // FNV-1a 64 of each netlist's `Debug` rendering: cell order, names,
+    // kinds, drives and connectivity. Any periphery refactor must keep
+    // these unchanged; a deliberate netlist change updates them here.
+    let pinned = [
+        ("decoder", 0x2b73_16c2_fd4a_c58f),
+        ("sram_32x10_p1", 0xbb4b_a094_3d2c_687d),
+        ("sram_128x10_p4", 0x2d54_76c1_b5da_9f44),
+        ("sram_1024x16_p4_b64", 0xd081_2069_a995_a15e),
+        ("pam_lim", 0x1162_efa6_c911_f16b),
+        ("pam_conv", 0x52d1_3c11_e089_e89f),
+        ("interp_lim", 0x746e_00ed_cec9_8227),
+        ("interp_full_table", 0x528d_3d0f_ca93_fc48),
+        ("cam_block", 0x5d5a_ceed_5b66_6f62),
+        ("spgemm_core", 0xcea8_ea97_5177_f314),
+        ("smart_mem", 0x150f_5338_9e7f_f99a),
+        ("heap_spgemm_core", 0x1f75_acc7_202a_ed7c),
+        ("mux_tree", 0x1d77_74ee_90db_7b6c),
+    ];
+    let cases: Vec<(&str, String)> = pinned_netlists()
+        .into_iter()
+        .map(|(name, netlist)| (name, format!("{netlist:?}")))
         .collect();
+    let mismatches = digest_mismatches(&cases, &pinned);
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn emitted_verilog_is_byte_identical_to_pinned_digests() {
+    // FNV-1a 64 of the structural Verilog `verilog::emit` writes for
+    // every pinned netlist, plus `examples/smart_mem.v` lowered at the
+    // other two brick depths `rtl.infer` offers. Emission rewrites must
+    // keep every byte.
+    let pinned = [
+        ("decoder", 0x32a2_978e_d63f_9bfe),
+        ("sram_32x10_p1", 0x7a66_f42c_d12b_a091),
+        ("sram_128x10_p4", 0x7490_7dfe_4e65_2306),
+        ("sram_1024x16_p4_b64", 0x8f94_eedf_dc34_c547),
+        ("pam_lim", 0xeef0_5376_0355_993d),
+        ("pam_conv", 0xdc73_2084_5fa2_fb5d),
+        ("interp_lim", 0xb093_b7dd_c0b5_1bb9),
+        ("interp_full_table", 0xa926_adcb_57ba_8e56),
+        ("cam_block", 0x2d88_8602_46b5_0aaf),
+        ("spgemm_core", 0xd50a_31cc_f5fe_4c90),
+        ("smart_mem", 0xd9ee_23b4_5b99_6c14),
+        ("heap_spgemm_core", 0xfee3_90c5_9ebc_7d17),
+        ("mux_tree", 0xf5f1_4226_c579_199f),
+        ("smart_mem_b16", 0xed3c_5fd0_ea3f_81fa),
+        ("smart_mem_b32", 0x6a55_d3d4_756f_81ab),
+    ];
+    let extra = [("smart_mem_b16", 16), ("smart_mem_b32", 32)]
+        .map(|(name, brick_words)| (name, smart_mem_netlist(brick_words)));
+    let cases: Vec<(&str, String)> = pinned_netlists()
+        .into_iter()
+        .chain(extra)
+        .map(|(name, netlist)| (name, lim_rtl::verilog::emit(&netlist)))
+        .collect();
+    let mismatches = digest_mismatches(&cases, &pinned);
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn served_rtl_infer_result_is_byte_identical_to_pinned_digest() {
+    // The whole `rtl.infer` answer for `examples/smart_mem.v` over all
+    // three brick depths: plan, physical report and Verilog, as rendered
+    // JSON. Covers emission, the DSE pick and the response renderer.
+    use lim_obs::json::Value;
+    use lim_serve::{ServeConfig, Service};
+
+    let svc = Service::new(&ServeConfig::default());
+    let params = Value::Object(vec![
+        (
+            "source".to_owned(),
+            Value::String(include_str!("../examples/smart_mem.v").to_owned()),
+        ),
+        (
+            "brick_words".to_owned(),
+            Value::Array([16.0, 32.0, 64.0].map(Value::Number).to_vec()),
+        ),
+    ]);
+    let result = svc
+        .call("rtl.infer", &params)
+        .result
+        .expect("rtl.infer succeeds");
+    let pinned = [("smart_mem_rtl_infer", 0x921f_22f0_9c2d_8854)];
+    let mismatches = digest_mismatches(&[("smart_mem_rtl_infer", result)], &pinned);
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
